@@ -46,7 +46,6 @@ from .bands import (
     detect_edge_modes,
     dynamical_matrix,
     finite_spectrum,
-    harmonic_matrix,
     inverse_participation_ratio,
     q_grid,
     track_bands,
@@ -63,7 +62,6 @@ from .atom_phonon import (
     CouplingGrid,
     coupled_band_count,
     coupled_bands,
-    coupling,
     coupling_grid,
     physical_coupling,
     rho0,

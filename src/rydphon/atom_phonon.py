@@ -52,20 +52,6 @@ def base_z_offsets(spec: ChainSpec, source: str = "trap") -> np.ndarray:
     raise ValueError(f"unknown rho_z source {source!r}")
 
 
-def coupling(q: float, bands: BandStructure, d: float | None = None,
-             rho_z: np.ndarray | None = None) -> np.ndarray:
-    """Complex coupling for each band at one grid momentum q."""
-    idx = np.flatnonzero(np.isclose(bands.q_grid, q, rtol=0.0, atol=1e-12))
-    if idx.size == 0:
-        raise ValueError(f"q = {q!r} is not on the band-structure grid")
-    k = int(idx[0])
-    if d is None:
-        d = bands.spec.d
-    if rho_z is None:
-        rho_z = base_offsets(bands.spec)[:, 2]
-    return _coupling_row(bands.q_grid[k], bands.omega[k], bands.xi[k], d, rho_z)
-
-
 def _coupling_row(q, omega_row, xi_slice, d, rho_z):
     if np.any(omega_row <= 0.0):
         raise ZeroFrequencyError(f"zero phonon frequency at q = {q:g}")

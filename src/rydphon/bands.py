@@ -13,13 +13,12 @@ from itertools import permutations
 
 import numpy as np
 
-from .equilibrium import BulkEquilibrium, relax_bulk, relax_finite
+from .equilibrium import DEFAULT_CUTOFF_CELLS, BulkEquilibrium, relax_bulk, relax_finite
 from .errors import ImaginaryFrequencyError
-from .geometry import ChainSpec, Configuration, base_offsets, trap_centers
+from .geometry import ChainSpec, base_offsets, trap_centers
 from .potential import _pair_hessians, hessian
 
 DEFAULT_Q_POINTS = 256
-DEFAULT_CUTOFF_CELLS = 32
 DEGENERACY_TOL = 1e-10
 NEGATIVE_CLAMP = 1e-12
 
@@ -190,13 +189,6 @@ def band_structure(
     )
 
 
-def harmonic_matrix(config: Configuration, spec: ChainSpec, allow_unrelaxed: bool = True) -> np.ndarray:
-    """Second-derivative matrix at the given configuration (hessian alias)."""
-    if not config.relaxed and not allow_unrelaxed:
-        raise ValueError("configuration is not relaxed; pass allow_unrelaxed=True to override")
-    return hessian(config, spec)
-
-
 # ---------------------------------------------------------------------------
 # finite chains and edge modes
 
@@ -281,31 +273,24 @@ def detect_edge_modes(
     """
     if params is None:
         params = EdgeDetectionParams()
-    n_modes = modes.shape[1]
     n_atoms = modes.shape[0] // 3
     weights = atom_weights(modes, n_atoms)
     ipr = (weights**2).sum(axis=0)
     decay = _end_decay(weights)
-    lo_all = band_edges[:, 0].min()
-    hi_all = band_edges[:, 1].max()
-    flags = np.zeros(n_modes, dtype=bool)
-    nearest = np.zeros(n_modes, dtype=int)
-    gap_index = np.zeros(n_modes, dtype=int)
-    for m in range(n_modes):
-        om = frequencies[m]
-        dist = np.empty(len(band_edges))
-        for j, (lo, hi) in enumerate(band_edges):
-            dist[j] = 0.0 if lo <= om <= hi else min(abs(om - lo), abs(om - hi))
-        nearest[m] = int(np.argmin(dist)) + 1
-        gap_index[m] = int((band_edges[:, 1] < om).sum())
-        out_by = dist.min()
-        if out_by == 0.0:
-            continue
-        interior = lo_all < om < hi_all
-        if interior:
-            flags[m] = out_by > params.interior_margin
-        else:
-            flags[m] = out_by > params.exterior_margin and decay[m] >= params.end_decay_threshold
+    om = frequencies[:, None]
+    lo, hi = band_edges[:, 0], band_edges[:, 1]
+    # (modes, bands) distance of each mode to each band envelope, 0 inside it
+    dist = np.where((lo <= om) & (om <= hi), 0.0,
+                    np.minimum(np.abs(om - lo), np.abs(om - hi)))
+    nearest = np.argmin(dist, axis=1) + 1
+    gap_index = (hi < om).sum(axis=1)
+    out_by = dist.min(axis=1)
+    interior = (lo.min() < frequencies) & (frequencies < hi.max())
+    flags = (out_by != 0.0) & np.where(
+        interior,
+        out_by > params.interior_margin,
+        (out_by > params.exterior_margin) & (decay >= params.end_decay_threshold),
+    )
     return EdgeModeReport(
         edge_flags=flags, ipr=ipr, end_decay=decay,
         nearest_band=nearest, gap_index=gap_index,
@@ -427,12 +412,11 @@ def band_diagnostics(bands: BandStructure, min_run: int = 3,
     qs = bands.q_grid
     omega = bands.omega
     pos = track_bands(bands, min_run=min_run)
-    events = []
-    for k in range(1, len(qs)):
-        for a in range(6):
-            for b in range(a + 1, 6):
-                if (pos[k - 1, a] - pos[k - 1, b]) * (pos[k, a] - pos[k, b]) < 0:
-                    events.append((a + 1, b + 1, float(qs[k])))
+    first, second = np.triu_indices(6, k=1)
+    order = pos[:, first] - pos[:, second]          # (Nq, pair) sign table
+    ks, pairs = np.nonzero(order[:-1] * order[1:] < 0)
+    events = [(int(first[p]) + 1, int(second[p]) + 1, float(qs[k + 1]))
+              for k, p in zip(ks, pairs)]
     k0 = int(np.argmin(np.abs(qs)))
     stencil = omega[k0 + 1] - 2.0 * omega[k0] + omega[k0 - 1] \
         if 0 < k0 < len(qs) - 1 else np.zeros(6)

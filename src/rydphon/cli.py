@@ -3,15 +3,14 @@
 Subcommands: bands, spectrum, local, coupling, sweep, export, check.
 Exit codes: 0 success, 1 computation error, 2 configuration error,
 3 check failure.  All outputs are deterministic functions of the
-configuration file; RYDPHON_THREADS only caps sweep workers.
+configuration file and the arguments; the sweep evaluates its points
+one after another and writes them in sweep order.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,6 +25,8 @@ from .atom_phonon import (
 )
 from .bands import (
     BAND_CSV_HEADER,
+    DEFAULT_CUTOFF_CELLS,
+    DEFAULT_Q_POINTS,
     SPECTRUM_CSV_HEADER,
     band_csv_rows,
     band_diagnostics,
@@ -43,7 +44,7 @@ from .local_phonons import (
     j_csv_rows,
     local_phonon_model,
 )
-from .model_export import assemble, serialize, spec_digest
+from .model_export import CONVENTIONS, assemble, serialize, spec_digest
 from .potential import fd_gradient, fd_hessian, gradient, hessian, total_energy
 
 EXIT_OK = 0
@@ -51,11 +52,7 @@ EXIT_COMPUTE = 1
 EXIT_CONFIG = 2
 EXIT_CHECK = 3
 
-
-_CONVENTIONS_COMMENT = (
-    "conventions: gauge=largest-z-component-real-nonnegative; "
-    "pair_sum=unordered-pairs-counted-once; modulus=abs-z-components-in-coupling"
-)
+_CONVENTIONS_COMMENT = "conventions: " + "; ".join(f"{k}={v}" for k, v in CONVENTIONS.items())
 
 
 def _fmt(value) -> str:
@@ -171,9 +168,7 @@ def cmd_sweep(args) -> int:
         if args.param == "d" and spec.a == 2.0 * spec.d:
             changes["a"] = 2.0 * float(v)  # keep the a = 2 d convention while sweeping d
         specs.append(spec.with_(**changes))
-    workers = int(os.environ.get("RYDPHON_THREADS", "0")) or min(4, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda s: _sweep_point(s, args.q_points), specs))
+    rows = [_sweep_point(s, args.q_points) for s in specs]
     for v, row in zip(values, rows):
         row[0] = float(v)
     _write_csv(args.out, spec, SWEEP_CSV_HEADER, rows,
@@ -196,8 +191,7 @@ def _run_checks(spec: ChainSpec):
 
     def perturbed():
         return Configuration(
-            centers.positions + 0.03 * rng.standard_normal(centers.positions.shape),
-            0.0, False,
+            centers.positions + 0.03 * rng.standard_normal(centers.positions.shape)
         )
 
     checks = []
@@ -267,7 +261,7 @@ def cmd_check(args) -> int:
 def _add_common(p, q_points=True):
     p.add_argument("config", help="chain configuration file (JSON)")
     if q_points:
-        p.add_argument("--q-points", type=int, default=256, dest="q_points")
+        p.add_argument("--q-points", type=int, default=DEFAULT_Q_POINTS, dest="q_points")
     p.add_argument("--relax", action="store_true",
                    help="use relaxed equilibrium positions instead of trap centers")
 
@@ -280,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bands", help="bulk phonon band structure CSV")
     _add_common(p)
-    p.add_argument("--cutoff-cells", type=int, default=32, dest="cutoff_cells")
+    p.add_argument("--cutoff-cells", type=int, default=DEFAULT_CUTOFF_CELLS, dest="cutoff_cells")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bands)
 

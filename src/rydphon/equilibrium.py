@@ -78,8 +78,8 @@ def relax_finite(
     )
 
 
-def _as_config(x: np.ndarray, residual: float = 0.0) -> Configuration:
-    return Configuration(x.reshape(-1, 3), residual, False)
+def _as_config(x: np.ndarray, residual: float | None = None) -> Configuration:
+    return Configuration(x.reshape(-1, 3), residual)
 
 
 def _config_energy(x: np.ndarray, spec: ChainSpec) -> float:
@@ -125,10 +125,11 @@ def _line_search(x, energy, grad, step, spec, c1: float = 1e-4):
         if e_new <= energy + c1 * alpha * slope:
             return x_new, e_new
         alpha *= 0.5
+    residual = float(np.abs(grad).max())
     raise MaxIterExceededError(
         "line search failed to decrease the energy",
-        residual=float(np.abs(grad).max()),
-        last_iterate=_as_config(x),
+        residual=residual,
+        last_iterate=_as_config(x, residual=residual),
     )
 
 
@@ -141,9 +142,6 @@ class BulkEquilibrium:
     residual_inf_norm: float
     cutoff_cells: int
     n_iterations: int
-
-    def __iter__(self):
-        return iter((self.delta_a, self.delta_b))
 
     @property
     def deltas(self) -> np.ndarray:

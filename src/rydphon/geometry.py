@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -22,11 +23,9 @@ DEFAULT_V_DD = 1.0 / 3.0
 
 N_BASES = 2  # A and B sublattices; fixed
 
-BASE_A = 0
-BASE_B = 1
-
 _SPEC_KEYS = ("n_cells", "d", "delta", "a", "theta", "phi", "topology",
               "nu", "mass", "v_dd")
+_FINITE_FIELDS = ("d", "delta", "a", "theta", "phi", "nu", "mass", "v_dd")
 
 
 class Topology(str, Enum):
@@ -73,6 +72,12 @@ class ChainSpec:
         if np.ndim(nu) == 0:
             nu = (float(nu),) * 3
         object.__setattr__(self, "nu", tuple(float(x) for x in nu))
+        if not isinstance(self.n_cells, numbers.Integral) or isinstance(self.n_cells, bool):
+            raise ConfigError(f"n_cells must be an integer, got {self.n_cells!r}")
+        object.__setattr__(self, "n_cells", int(self.n_cells))  # numpy integers are not JSON
+        for name in _FINITE_FIELDS:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_cells < 1:
             raise ConfigError(f"n_cells must be >= 1, got {self.n_cells}")
         if self.d <= 0:

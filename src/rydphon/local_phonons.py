@@ -44,13 +44,10 @@ def coupling_matrices(harmonic: np.ndarray, omega_local: np.ndarray, mass: float
         omega_local[:, :, None, None] * omega_local[None, None, :, :]
     )
     g = blocks / denom
-    for n in range(n_atoms):
-        for i in range(3):
-            g[n, i, n, i] = 0.0
+    n, i = np.indices((n_atoms, 3))
+    g[n, i, n, i] = 0.0
     h = g.copy()
-    for n in range(n_atoms):
-        for i in range(3):
-            h[n, i, n, i] = omega_local[n, i]
+    h[n, i, n, i] = omega_local
     return g, h
 
 
@@ -67,15 +64,15 @@ def aggregate_J(g: np.ndarray, exclude_outer_cells: int = 1) -> dict:
     sums = g.sum(axis=(1, 3))  # (N, N) of Sum_ij g^ij
     lo = exclude_outer_cells
     hi = n_cells - exclude_outer_cells
+    cell = np.arange(n_atoms) // 2
+    inside = (lo <= cell) & (cell < hi)
     table: dict = {}
     for s in range(1, n_atoms):
+        # pairs (n, n + s) with both atoms in interior cells
+        interior = inside[:n_atoms - s] & inside[s:]
         for cls in (0, 1):
-            vals = [
-                sums[n, n + s]
-                for n in range(cls, n_atoms - s, 2)
-                if lo <= n // 2 < hi and lo <= (n + s) // 2 < hi
-            ]
-            if vals:
+            vals = np.diagonal(sums, s)[cls::2][interior[cls::2]]
+            if vals.size:
                 table[(s, cls)] = float(np.mean(vals))
     return table
 

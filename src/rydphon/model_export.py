@@ -23,15 +23,33 @@ from .geometry import ChainSpec, spec_from_dict, spec_to_dict
 
 SCHEMA_VERSION = 1
 
-_REQUIRED_CONVENTIONS = ("gauge", "pair_sum", "modulus", "cutoff_cells")
-_REQUIRED_SECTIONS = ("schema_version", "provenance", "hubbard", "phonons", "couplings")
+# numerical conventions fixed by the code; also written into every CSV header
+CONVENTIONS = {
+    "gauge": "largest-z-component-real-nonnegative",
+    "pair_sum": "unordered-pairs-counted-once",
+    "modulus": "abs-z-components-in-coupling",
+}
+
+_REQUIRED_CONVENTIONS = (*CONVENTIONS, "cutoff_cells")
+# every key that deserialize reads, as a path into the document
+_REQUIRED_KEYS = (
+    ("provenance", "chain_spec"),
+    ("hubbard", "t"),
+    ("hubbard", "U"),
+    ("coupling_scale", "g_cp"),
+    ("phonons", "q"),
+    ("phonons", "omega", "values"),
+    ("phonons", "xi_re", "values"),
+    ("phonons", "xi_im", "values"),
+    ("couplings", "m_re", "values"),
+    ("couplings", "m_im", "values"),
+    ("couplings", "rho0"),
+)
 
 
 def conventions_dict(cutoff_cells: int, rho_z_source: str, relaxed: bool) -> dict:
     return {
-        "gauge": "largest-z-component-real-nonnegative",
-        "pair_sum": "unordered-pairs-counted-once",
-        "modulus": "abs-z-components-in-coupling",
+        **CONVENTIONS,
         "cutoff_cells": cutoff_cells,
         "rho_z_source": rho_z_source,
         "geometry": "relaxed" if relaxed else "trap-centers",
@@ -144,16 +162,24 @@ def serialize(model: ExtendedHHModel, path) -> None:
         fh.write(text)
 
 
+def _has_path(doc: dict, path: tuple) -> bool:
+    for key in path:
+        if not isinstance(doc, dict) or key not in doc:
+            return False
+        doc = doc[key]
+    return True
+
+
 def validate_document(doc: dict) -> None:
     if not isinstance(doc, dict):
         raise SchemaMismatchError("model document is not a JSON object")
-    missing = [k for k in _REQUIRED_SECTIONS if k not in doc]
-    if missing:
-        raise SchemaMismatchError(f"model document lacks section(s): {', '.join(missing)}")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaMismatchError(
-            f"schema_version {doc['schema_version']!r} unsupported (expected {SCHEMA_VERSION})"
+            f"schema_version {doc.get('schema_version')!r} unsupported (expected {SCHEMA_VERSION})"
         )
+    absent = [".".join(path) for path in _REQUIRED_KEYS if not _has_path(doc, path)]
+    if absent:
+        raise SchemaMismatchError(f"model document lacks key(s): {', '.join(absent)}")
     conv = doc["provenance"].get("conventions", {})
     lacking = [k for k in _REQUIRED_CONVENTIONS if k not in conv]
     if lacking:

@@ -144,18 +144,15 @@ def fd_gradient(config: Configuration, spec: ChainSpec, step: float = 1e-5) -> n
     if step <= 0:
         raise ValueError("step must be positive")
     x0 = config.positions.reshape(-1)
+
+    def energy(c: int, shift: float) -> float:
+        x = x0.copy()
+        x[c] += shift
+        return total_energy(Configuration(x.reshape(-1, 3)), spec).total
+
     out = np.empty_like(x0)
     for c in range(x0.size):
-        for sign, slot in ((+1.0, 0), (-1.0, 1)):
-            x = x0.copy()
-            x[c] += sign * step
-            cfg = Configuration(x.reshape(-1, 3), config.residual_inf_norm, config.relaxed)
-            e = total_energy(cfg, spec).total
-            if slot == 0:
-                e_plus = e
-            else:
-                e_minus = e
-        out[c] = (e_plus - e_minus) / (2.0 * step)
+        out[c] = (energy(c, step) - energy(c, -step)) / (2.0 * step)
     return out
 
 
@@ -169,8 +166,8 @@ def fd_hessian(config: Configuration, spec: ChainSpec, step: float = 1e-4) -> np
     for c in range(n3):
         x = x0.copy()
         x[c] += step
-        gp = gradient(Configuration(x.reshape(-1, 3), 0.0, False), spec)
+        gp = gradient(Configuration(x.reshape(-1, 3)), spec)
         x[c] -= 2.0 * step
-        gm = gradient(Configuration(x.reshape(-1, 3), 0.0, False), spec)
+        gm = gradient(Configuration(x.reshape(-1, 3)), spec)
         out[:, c] = (gp - gm) / (2.0 * step)
     return out

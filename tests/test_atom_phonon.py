@@ -9,7 +9,6 @@ from rydphon import (
     band_structure,
     coupled_band_count,
     coupled_bands,
-    coupling,
     coupling_grid,
     physical_coupling,
     rho0,
@@ -49,16 +48,10 @@ def test_rho0_even_and_bounded():
 
 def test_coupling_zero_at_q0():
     spec = paper_spec()
-    bands = band_structure(spec)
-    q0 = bands.q_grid[np.argmin(np.abs(bands.q_grid))]
-    assert q0 == 0.0
-    assert np.abs(coupling(q0, bands)).max() == 0.0
-
-
-def test_coupling_requires_grid_momentum():
-    bands = band_structure(paper_spec(), q_points=32)
-    with pytest.raises(ValueError):
-        coupling(0.1234, bands)
+    grid = coupling_grid(spec)
+    k0 = np.argmin(np.abs(grid.q_grid))
+    assert grid.q_grid[k0] == 0.0
+    assert np.abs(grid.m_complex[k0]).max() == 0.0
 
 
 def test_transverse_bands_do_not_couple():
@@ -92,8 +85,9 @@ def test_modulus_convention_sign_invariance():
         q_grid=bands.q_grid, omega=bands.omega, xi=xi_flipped,
         spec=spec, cutoff_cells=bands.cutoff_cells, relaxed=bands.relaxed,
     )
-    q = bands.q_grid[5]
-    assert np.allclose(coupling(q, bands), coupling(q, flipped), atol=1e-15)
+    m = coupling_grid(spec, q_points=32, bands=bands).m_complex
+    m_flipped = coupling_grid(spec, q_points=32, bands=flipped).m_complex
+    assert np.allclose(m, m_flipped, atol=1e-15)
 
 
 def test_flat_band_closed_form():
@@ -179,4 +173,4 @@ def test_zero_frequency_rejected():
         spec=spec, cutoff_cells=bands.cutoff_cells, relaxed=False,
     )
     with pytest.raises(ZeroFrequencyError):
-        coupling(bands.q_grid[3], broken)
+        coupling_grid(spec, q_points=8, bands=broken)

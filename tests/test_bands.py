@@ -11,13 +11,11 @@ from rydphon import (
     detect_edge_modes,
     dynamical_matrix,
     finite_spectrum,
-    harmonic_matrix,
     hessian,
     q_grid,
     relax_bulk,
     relax_finite,
     track_bands,
-    trap_centers,
 )
 
 from conftest import paper_spec
@@ -62,16 +60,10 @@ def test_dynamical_matrix_accepts_bulk_equilibrium():
     assert np.abs(d_bare - d_rel).max() > 1e-3
 
 
-def test_harmonic_matrix_is_hessian_alias():
-    spec = paper_spec()
-    cfg = trap_centers(spec)
-    assert np.array_equal(harmonic_matrix(cfg, spec), hessian(cfg, spec))
-
-
-def test_harmonic_matrix_positive_definite_at_relaxed_d2():
+def test_hessian_positive_definite_at_relaxed_d2():
     spec = paper_spec()
     cfg = relax_finite(spec)
-    assert np.linalg.eigvalsh(harmonic_matrix(cfg, spec)).min() > 0.0
+    assert np.linalg.eigvalsh(hessian(cfg, spec)).min() > 0.0
 
 
 def test_flat_bands_without_dipoles():
@@ -263,3 +255,58 @@ def test_edge_params_are_configurable():
         params=EdgeDetectionParams(interior_margin=1e9, exterior_margin=1e9),
     )
     assert fs.n_edge_modes == 0
+
+
+def _edge_report_by_loop(modes, frequencies, band_edges, params):
+    """Per-mode loop reference for detect_edge_modes' classification."""
+    decay = detect_edge_modes(modes, frequencies, band_edges, params).end_decay
+    lo_all, hi_all = band_edges[:, 0].min(), band_edges[:, 1].max()
+    n_modes = len(frequencies)
+    flags = np.zeros(n_modes, dtype=bool)
+    nearest = np.zeros(n_modes, dtype=int)
+    gap_index = np.zeros(n_modes, dtype=int)
+    for m, om in enumerate(frequencies):
+        dist = np.array([0.0 if lo <= om <= hi else min(abs(om - lo), abs(om - hi))
+                         for lo, hi in band_edges])
+        nearest[m] = int(np.argmin(dist)) + 1
+        gap_index[m] = int((band_edges[:, 1] < om).sum())
+        out_by = dist.min()
+        if out_by == 0.0:
+            continue
+        if lo_all < om < hi_all:
+            flags[m] = out_by > params.interior_margin
+        else:
+            flags[m] = out_by > params.exterior_margin and decay[m] >= params.end_decay_threshold
+    return flags, nearest, gap_index
+
+
+@pytest.mark.parametrize("params", [
+    EdgeDetectionParams(),
+    EdgeDetectionParams(interior_margin=1e-3, exterior_margin=1e-5, end_decay_threshold=1.2),
+    EdgeDetectionParams(interior_margin=0.0, exterior_margin=0.0, end_decay_threshold=3.0),
+])
+@pytest.mark.parametrize("n_cells,d,topology", [
+    (7, 2.0, Topology.TOPOLOGICAL), (7, 1.6, Topology.TRIVIAL), (20, 2.0, Topology.TOPOLOGICAL),
+])
+def test_edge_detection_matches_per_mode_loop(params, n_cells, d, topology):
+    spec = paper_spec(d=d, topology=topology, n_cells=n_cells)
+    fs = finite_spectrum(spec, q_points=64)
+    report = detect_edge_modes(fs.modes, fs.frequencies, fs.band_edges, params)
+    flags, nearest, gap_index = _edge_report_by_loop(fs.modes, fs.frequencies,
+                                                     fs.band_edges, params)
+    assert np.array_equal(report.edge_flags, flags)
+    assert np.array_equal(report.nearest_band, nearest)
+    assert np.array_equal(report.gap_index, gap_index)
+
+
+@pytest.mark.parametrize("d", [1.5, 1.7, 2.0, 2.5])
+def test_crossing_events_match_pairwise_loop(d):
+    bands = band_structure(paper_spec(d=d), q_points=128)
+    pos = track_bands(bands)
+    expected = []
+    for k in range(1, len(bands.q_grid)):
+        for a in range(6):
+            for b in range(a + 1, 6):
+                if (pos[k - 1, a] - pos[k - 1, b]) * (pos[k, a] - pos[k, b]) < 0:
+                    expected.append((a + 1, b + 1, float(bands.q_grid[k])))
+    assert band_diagnostics(bands).crossings == tuple(expected)

@@ -100,10 +100,22 @@ def test_spec_defaults():
     {"n_cells": 2, "d": 2.0, "nu": (1.0, 0.0, 1.0)},
     {"n_cells": 2, "d": 2.0, "mass": 0.0},
     {"n_cells": 2, "d": 2.0, "v_dd": -0.1},
+    *({"n_cells": 2, "d": 2.0, field: value}
+      for field in ("d", "delta", "a", "theta", "phi", "mass", "v_dd")
+      for value in (math.nan, math.inf, -math.inf)),
+    {"n_cells": 2, "d": 2.0, "nu": (1.0, math.inf, 1.0)},
+    {"n_cells": 2, "d": 2.0, "nu": (math.nan, 1.0, 1.0)},
+    *({"n_cells": n, "d": 2.0} for n in (2.5, 2.0, True, "3", None)),
 ])
 def test_spec_validation(bad):
     with pytest.raises(ConfigError):
         ChainSpec(**bad)
+
+
+def test_spec_accepts_numpy_integer_n_cells():
+    spec = ChainSpec(n_cells=np.int64(3), d=2.0)
+    assert spec == ChainSpec(n_cells=3, d=2.0)
+    assert json.dumps(spec_to_dict(spec)) == json.dumps(spec_to_dict(ChainSpec(n_cells=3, d=2.0)))
 
 
 def test_spec_from_dict_magic_theta():

@@ -143,3 +143,20 @@ def test_bogoliubov_rejects_unstable_form():
     g = np.array([[0.0, 2.0], [2.0, 0.0]])  # |g| > h: not positive definite
     with pytest.raises(DynamicalInstabilityError):
         bogoliubov_frequencies(h, g)
+
+
+@pytest.mark.parametrize("exclude", [0, 1, 2])
+def test_aggregate_j_matches_pairwise_loop(exclude):
+    g = local_phonon_model(paper_spec(n_cells=9, topology=Topology.TOPOLOGICAL)).g
+    sums = g.sum(axis=(1, 3))
+    n_atoms = g.shape[0]
+    lo, hi = exclude, n_atoms // 2 - exclude
+    expected = {}
+    for s in range(1, n_atoms):
+        for cls in (0, 1):
+            vals = [sums[n, n + s] for n in range(cls, n_atoms - s, 2)
+                    if lo <= n // 2 < hi and lo <= (n + s) // 2 < hi]
+            if vals:
+                expected[(s, cls)] = float(np.mean(vals))
+    assert aggregate_J(g, exclude_outer_cells=exclude) == expected
+

@@ -71,6 +71,32 @@ def test_missing_convention_rejected(model, key):
         validate_document(doc)
 
 
+@pytest.mark.parametrize("path", [
+    ("coupling_scale",),
+    ("coupling_scale", "g_cp"),
+    ("hubbard", "t"),
+    ("hubbard", "U"),
+    ("phonons", "q"),
+    ("phonons", "omega"),
+    ("phonons", "xi_re"),
+    ("phonons", "xi_im"),
+    ("couplings", "m_re"),
+    ("couplings", "m_im"),
+    ("couplings", "rho0"),
+    ("provenance", "chain_spec"),
+])
+def test_missing_key_rejected(model, tmp_path, path):
+    doc = model_document(model)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    file = tmp_path / "broken.json"
+    file.write_text(document_text(doc))
+    with pytest.raises(SchemaMismatchError, match=path[-1]):
+        deserialize(file)
+
+
 def test_provenance_lists_all_conventions(model):
     conv = model_document(model)["provenance"]["conventions"]
     for key in ("gauge", "pair_sum", "modulus", "cutoff_cells"):

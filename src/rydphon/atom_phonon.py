@@ -52,15 +52,6 @@ def base_z_offsets(spec: ChainSpec, source: str = "trap") -> np.ndarray:
     raise ValueError(f"unknown rho_z source {source!r}")
 
 
-def _coupling_row(q, omega_row, xi_slice, d, rho_z):
-    if np.any(omega_row <= 0.0):
-        raise ZeroFrequencyError(f"zero phonon frequency at q = {q:g}")
-    phases = np.exp(-1j * q * np.asarray(rho_z))
-    z_abs = np.abs(xi_slice[[2, 5], :])           # (2, 6): |xi_z| per base, band
-    structure = phases @ z_abs                    # (6,)
-    return q * rho0(q, d) / np.sqrt(omega_row) * structure
-
-
 @dataclass(frozen=True)
 class CouplingGrid:
     q_grid: np.ndarray
@@ -88,10 +79,14 @@ def coupling_grid(
     elif len(bands.q_grid) != q_points:
         raise ValueError("band structure grid does not match q_points")
     rho_z = base_z_offsets(spec, rho_z_source)
-    n_q = len(bands.q_grid)
-    m = np.zeros((n_q, 6), dtype=complex)
-    for k in range(n_q):
-        m[k] = _coupling_row(bands.q_grid[k], bands.omega[k], bands.xi[k], spec.d, rho_z)
+    qs, omega = bands.q_grid, bands.omega
+    bad = np.flatnonzero((omega <= 0.0).any(axis=1))
+    if bad.size:
+        raise ZeroFrequencyError(f"zero phonon frequency at q = {qs[bad[0]]:g}")
+    phases = np.exp((-1j * qs)[:, None] * rho_z)         # (Nq, 2)
+    z_abs = np.abs(bands.xi[:, [2, 5], :])               # (Nq, 2, 6): |xi_z| per base, band
+    structure = (phases[:, None, :] @ z_abs)[:, 0, :]    # (Nq, 6)
+    m = (qs * rho0(qs, spec.d))[:, None] / np.sqrt(omega) * structure
     return CouplingGrid(
         q_grid=bands.q_grid,
         m_complex=m,

@@ -85,29 +85,27 @@ def dynamical_matrix(
     return _dynamical_matrices([q], spec, deltas, cutoff_cells)[0]
 
 
-def _gauge_fix(vec: np.ndarray) -> np.ndarray:
-    """Unit phase such that the largest-magnitude z component is real >= 0."""
-    zmags = np.abs(vec[list(_Z_COMPONENTS)])
-    if zmags.max() > 1e-12:
-        idx = _Z_COMPONENTS[int(np.argmax(zmags))]
-    else:
-        idx = int(np.argmax(np.abs(vec)))
-    phase = vec[idx]
-    mag = abs(phase)
-    if mag == 0.0:
-        return vec
-    return vec * (phase.conjugate() / mag)
+def _gauge_fix(xi: np.ndarray) -> np.ndarray:
+    """Unit phase per column such that its largest-magnitude z component is
+    real >= 0 (the largest component overall when no z component exceeds
+    1e-12); xi is (Nq, 6, 6) with one eigenvector per column, fixed in place."""
+    zmags = np.abs(xi[:, _Z_COMPONENTS, :])                 # (Nq, 2, 6)
+    idx = np.where(zmags.max(axis=1) > 1e-12,
+                   np.take(_Z_COMPONENTS, np.argmax(zmags, axis=1)),
+                   np.argmax(np.abs(xi), axis=1))
+    phase = np.take_along_axis(xi, idx[:, None, :], axis=1)  # (Nq, 1, 6)
+    mag = np.hypot(phase.real, phase.imag)  # as scalar abs(); np.abs can differ in the last bit
+    factor = np.divide(phase.conj(), mag, out=np.ones_like(phase), where=mag != 0.0)
+    return np.multiply(xi, factor, out=xi, where=mag != 0.0)
 
 
-def _resolve_eigenvectors(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Deterministic eigenvectors: degenerate groups are re-spanned by
-    projecting the fixed reference basis, then every column is gauge-fixed."""
+def _respan_degenerate(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Re-span each degenerate group by projecting the fixed reference basis
+    (Gram-Schmidt), so the columns do not depend on the eigensolver's choice."""
     out = vec.copy()
     n = len(lam)
-    start = 0
-    for stop in range(1, n + 1):
-        if stop < n and lam[stop] - lam[stop - 1] <= DEGENERACY_TOL:
-            continue
+    edges = [*(np.flatnonzero(~(np.diff(lam) <= DEGENERACY_TOL)) + 1), n]
+    for start, stop in zip([0, *edges], edges):
         if stop - start > 1:
             sub = vec[:, start:stop]
             proj = sub @ (sub.conj().T @ np.eye(n, dtype=complex))
@@ -122,9 +120,6 @@ def _resolve_eigenvectors(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
                 if len(cols) == stop - start:
                     break
             out[:, start:stop] = np.array(cols).T
-        start = stop
-    for j in range(n):
-        out[:, j] = _gauge_fix(out[:, j])
     return out
 
 
@@ -169,7 +164,8 @@ def band_structure(
     relax: bool = False,
     bulk_eq: BulkEquilibrium | None = None,
 ) -> BandStructure:
-    """Diagonalize the Bloch matrix on the standard grid.
+    """Diagonalize the Bloch matrix on the standard grid, with deterministic
+    eigenvectors (degenerate groups re-spanned, then every column gauge-fixed).
 
     relax=True relaxes the bulk first (or uses the provided bulk_eq).
     """
@@ -180,11 +176,10 @@ def band_structure(
     dyn = _dynamical_matrices(qs, spec, deltas, cutoff_cells)
     lam, vec = np.linalg.eigh(dyn)
     omega = _freqs_from_lambda(lam / spec.mass, "band_structure")
-    xi = np.empty_like(vec)
-    for k in range(len(qs)):
-        xi[k] = _resolve_eigenvectors(lam[k], vec[k])
+    for k in np.flatnonzero((np.diff(lam, axis=1) <= DEGENERACY_TOL).any(axis=1)):
+        vec[k] = _respan_degenerate(lam[k], vec[k])
     return BandStructure(
-        q_grid=qs, omega=omega, xi=xi, spec=spec,
+        q_grid=qs, omega=omega, xi=_gauge_fix(vec), spec=spec,
         cutoff_cells=cutoff_cells, relaxed=bulk_eq is not None,
     )
 
@@ -321,17 +316,22 @@ def finite_spectrum(
 # ---------------------------------------------------------------------------
 # band tracking and diagnostics
 
-_PERMS = list(permutations(range(6)))
+# every assignment of 6 tracked bands to sorted slots, in itertools order
+_PERMUTATIONS = np.array(list(permutations(range(6))))
 
 
-def _best_assignment(overlaps: np.ndarray):
-    best, best_score = None, -np.inf
-    for p in _PERMS:
-        score = overlaps[0, p[0]] + overlaps[1, p[1]] + overlaps[2, p[2]] \
-            + overlaps[3, p[3]] + overlaps[4, p[4]] + overlaps[5, p[5]]
-        if score > best_score:
-            best_score, best = score, p
-    return best
+def _best_permutations(overlaps: np.ndarray) -> np.ndarray:
+    """(Nsteps, 6) slot permutation of highest summed overlap for each
+    (6, 6) overlap matrix in the stack; ties go to the first in _PERMUTATIONS."""
+    best = np.empty(len(overlaps), dtype=int)
+    for lo in range(0, len(overlaps), 64):  # blocks of 64 steps bound the score memory
+        block = overlaps[lo:lo + 64]
+        # score[k, p] = sum_r block[k, r, P[p, r]], added left to right as ties depend on it
+        score = block[:, 0, _PERMUTATIONS[:, 0]]
+        for r in range(1, 6):
+            score += block[:, r, _PERMUTATIONS[:, r]]
+        best[lo:lo + 64] = np.argmax(score, axis=1)
+    return _PERMUTATIONS[best]
 
 
 def _suppress_touches(pos: np.ndarray, min_run: int) -> np.ndarray:
@@ -367,19 +367,17 @@ def track_bands(bands: BandStructure, min_run: int = 3) -> np.ndarray:
     Returns positions[k, l]: the sorted slot occupied at q_grid[k] by
     tracked band l, with labels anchored to the sorted order at the grid
     point closest to q = 0.
+
+    Each step k -> k+1 takes the permutation of sorted slots that maximises
+    the summed overlap |<xi_k|xi_{k+1}>|; it depends only on the overlaps of
+    that step, not on the tracking state.  Ties go to the first maximum in
+    itertools.permutations order.
     """
-    n_q = len(bands.q_grid)
-    pos = np.zeros((n_q, 6), dtype=int)
+    steps = _best_permutations(np.abs(bands.xi[:-1].conj().transpose(0, 2, 1) @ bands.xi[1:]))
+    pos = np.empty((len(bands.q_grid), 6), dtype=int)
     pos[0] = np.arange(6)
-    prev_vec = bands.xi[0]
-    prev_pos = np.arange(6)
-    for k in range(1, n_q):
-        overlaps = np.abs(prev_vec.conj().T @ bands.xi[k])
-        perm = _best_assignment(overlaps)
-        now_pos = np.array([perm[prev_pos[l]] for l in range(6)])
-        pos[k] = now_pos
-        prev_vec = bands.xi[k]
-        prev_pos = now_pos
+    for k, perm in enumerate(steps, start=1):
+        pos[k] = perm[pos[k - 1]]
     pos = _suppress_touches(pos, min_run)
     # relabel so that label order matches the sorted order at q ~ 0
     k0 = int(np.argmin(np.abs(bands.q_grid)))
@@ -436,13 +434,10 @@ def band_diagnostics(bands: BandStructure, min_run: int = 3,
 
 def band_csv_rows(bands: BandStructure):
     """Rows (q, band, omega, Re/Im of the six xi components)."""
+    parts = np.stack([bands.xi.real, bands.xi.imag], axis=-1)   # (Nq, 6, 6, 2)
     for k, q in enumerate(bands.q_grid):
         for j in range(bands.n_bands):
-            row = [q, j + 1, bands.omega[k, j]]
-            for c in range(6):
-                z = bands.xi[k, c, j]
-                row.extend([z.real, z.imag])
-            yield row
+            yield [q, j + 1, bands.omega[k, j], *parts[k, :, j].ravel()]
 
 
 BAND_CSV_HEADER = (

@@ -143,8 +143,7 @@ def _sweep_point(spec: ChainSpec, q_points: int):
     model = local_phonon_model(spec)
     grid = coupling_grid(spec, q_points=q_points, bands=bands)
     pairs = ";".join(f"{a}-{b}" for a, b in diag.crossing_pairs)
-    row = [None]
-    row.extend(diag.bandwidth)
+    row = list(diag.bandwidth)
     row.extend(int(c) for c in diag.concavity)
     row.append(len(diag.crossings))
     row.append(pairs or "-")
@@ -162,15 +161,12 @@ def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ConfigError("sweep needs at least 2 steps")
     values = np.linspace(args.from_, args.to, args.steps)
-    specs = []
-    for v in values:
-        changes = {args.param: float(v)}
+    rows = []
+    for v in map(float, values):
+        changes = {args.param: v}
         if args.param == "d" and spec.a == 2.0 * spec.d:
-            changes["a"] = 2.0 * float(v)  # keep the a = 2 d convention while sweeping d
-        specs.append(spec.with_(**changes))
-    rows = [_sweep_point(s, args.q_points) for s in specs]
-    for v, row in zip(values, rows):
-        row[0] = float(v)
+            changes["a"] = 2.0 * v  # keep the a = 2 d convention while sweeping d
+        rows.append([v, *_sweep_point(spec.with_(**changes), args.q_points)])
     _write_csv(args.out, spec, SWEEP_CSV_HEADER, rows,
                [f"param={args.param} from={_fmt(args.from_)} to={_fmt(args.to)} steps={args.steps}"])
     return EXIT_OK
@@ -210,19 +206,16 @@ def _run_checks(spec: ChainSpec):
     checks.append(("hessian-symmetry", float(np.abs(hess - hess.T).max()), 1e-12))
 
     bands = band_structure(spec)
-    ortho = 0.0
-    for k in range(len(bands.q_grid)):
-        gram = bands.xi[k].conj().T @ bands.xi[k]
-        ortho = max(ortho, float(np.abs(gram - np.eye(6)).max()))
-    checks.append(("eigenvector-orthonormality", ortho, 1e-10))
+    gram = bands.xi.conj().transpose(0, 2, 1) @ bands.xi
+    checks.append(("eigenvector-orthonormality", float(np.abs(gram - np.eye(6)).max()), 1e-10))
 
-    sym = 0.0
+    # pair each q with the grid point nearest to -q (the grid is ascending)
     qs = bands.q_grid
-    for k in range(len(qs)):
-        match = np.flatnonzero(np.isclose(qs, -qs[k], rtol=0.0, atol=1e-12))
-        if match.size:
-            sym = max(sym, float(np.abs(bands.omega[k] - bands.omega[match[0]]).max()))
-    checks.append(("omega-even-in-q", sym, 1e-10))
+    right = np.clip(np.searchsorted(qs, -qs), 1, len(qs) - 1)
+    mirror = np.where(np.abs(qs[right - 1] + qs) <= np.abs(qs[right] + qs), right - 1, right)
+    paired = np.abs(qs[mirror] + qs) <= 1e-12
+    sym = np.abs(bands.omega[paired] - bands.omega[mirror[paired]]).max(initial=0.0)
+    checks.append(("omega-even-in-q", float(sym), 1e-10))
 
     small = spec.with_(n_cells=min(spec.n_cells, 4))
     model = local_phonon_model(small)

@@ -160,15 +160,12 @@ def _bulk_partner_table(spec: ChainSpec, cutoff_cells: int):
     cells = np.arange(-cutoff_cells, cutoff_cells + 1)
     tables = []
     for alpha in range(2):
-        rel = []
-        beta_of = []
+        rel, beta_of = [], []
         for beta in range(2):
-            for n in cells:
-                if n == 0 and beta == alpha:
-                    continue
-                rel.append(n * spec.a * np.array([0.0, 0.0, 1.0]) + offs[beta] - offs[alpha])
-                beta_of.append(beta)
-        tables.append((np.array(rel), np.array(beta_of)))
+            n = cells[(cells != 0) | (beta != alpha)]
+            rel.append(n[:, None] * spec.a * np.array([0.0, 0.0, 1.0]) + offs[beta] - offs[alpha])
+            beta_of.append(np.full(len(n), beta))
+        tables.append((np.concatenate(rel), np.concatenate(beta_of)))
     return tables
 
 

@@ -25,7 +25,7 @@ N_BASES = 2  # A and B sublattices; fixed
 
 _SPEC_KEYS = ("n_cells", "d", "delta", "a", "theta", "phi", "topology",
               "nu", "mass", "v_dd")
-_FINITE_FIELDS = ("d", "delta", "a", "theta", "phi", "nu", "mass", "v_dd")
+_NUMBER_FIELDS = ("d", "delta", "a", "theta", "phi", "mass", "v_dd")
 
 
 class Topology(str, Enum):
@@ -42,6 +42,18 @@ def dipole_unit(theta: float, phi: float) -> np.ndarray:
     """Unit vector of the dipole axis from polar angle theta (from z) and azimuth phi."""
     st = math.sin(theta)
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+
+
+def _plain_number(name: str, value):
+    """value as a finite built-in int or float: Python ints and floats are kept
+    as given (JSON values digest unchanged), numpy scalars are converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if type(value) not in (int, float):
+        value = int(value) if isinstance(value, numbers.Integral) else float(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -66,18 +78,17 @@ class ChainSpec:
 
     def __post_init__(self):
         if self.a is None:
-            object.__setattr__(self, "a", 2.0 * self.d)
+            object.__setattr__(self, "a", 2.0 * _plain_number("d", self.d))
+        for name in _NUMBER_FIELDS:
+            object.__setattr__(self, name, _plain_number(name, getattr(self, name)))
         object.__setattr__(self, "topology", Topology(self.topology))
-        nu = self.nu
-        if np.ndim(nu) == 0:
-            nu = (float(nu),) * 3
-        object.__setattr__(self, "nu", tuple(float(x) for x in nu))
+        nu = self.nu.tolist() if isinstance(self.nu, np.ndarray) else self.nu
+        if not isinstance(nu, (tuple, list)):
+            nu = (nu,) * 3
+        object.__setattr__(self, "nu", tuple(float(_plain_number("nu", x)) for x in nu))
         if not isinstance(self.n_cells, numbers.Integral) or isinstance(self.n_cells, bool):
             raise ConfigError(f"n_cells must be an integer, got {self.n_cells!r}")
         object.__setattr__(self, "n_cells", int(self.n_cells))  # numpy integers are not JSON
-        for name in _FINITE_FIELDS:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_cells < 1:
             raise ConfigError(f"n_cells must be >= 1, got {self.n_cells}")
         if self.d <= 0:
@@ -177,18 +188,9 @@ def trap_centers(spec: ChainSpec) -> Configuration:
 
 def spec_to_dict(spec: ChainSpec) -> dict:
     """Plain-dict form of a spec (JSON-ready, used for files and provenance)."""
-    return {
-        "n_cells": spec.n_cells,
-        "d": spec.d,
-        "delta": spec.delta,
-        "a": spec.a,
-        "theta": spec.theta,
-        "phi": spec.phi,
-        "topology": spec.topology.value,
-        "nu": list(spec.nu),
-        "mass": spec.mass,
-        "v_dd": spec.v_dd,
-    }
+    data = {key: getattr(spec, key) for key in _SPEC_KEYS}
+    data.update(topology=spec.topology.value, nu=list(spec.nu))
+    return data
 
 
 def spec_from_dict(data: dict) -> ChainSpec:
@@ -216,10 +218,9 @@ def spec_from_dict(data: dict) -> ChainSpec:
             raise ConfigError(
                 f"topology must be 'trivial' or 'topological', got {kwargs['topology']!r}"
             ) from None
-    if "n_cells" not in kwargs:
-        raise ConfigError("missing required configuration key: n_cells")
-    if "d" not in kwargs:
-        raise ConfigError("missing required configuration key: d")
+    for key in ("n_cells", "d"):
+        if key not in kwargs:
+            raise ConfigError(f"missing required configuration key: {key}")
     if "nu" in kwargs and isinstance(kwargs["nu"], (list, tuple)):
         kwargs["nu"] = tuple(kwargs["nu"])
     try:

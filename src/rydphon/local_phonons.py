@@ -10,6 +10,7 @@ module's correctness oracle: it must reproduce the normal-mode spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -127,12 +128,9 @@ _DIRS = "xyz"
 
 
 def g_csv_rows(g: np.ndarray):
-    n_atoms = g.shape[0]
-    for n in range(n_atoms):
-        for m in range(n_atoms):
-            for i in range(3):
-                for j in range(3):
-                    yield [n, m, _DIRS[i], _DIRS[j], g[n, i, m, j]]
+    atoms = range(g.shape[0])
+    for n, m, i, j in product(atoms, atoms, range(3), range(3)):
+        yield [n, m, _DIRS[i], _DIRS[j], g[n, i, m, j]]
 
 
 def j_csv_rows(table: dict):

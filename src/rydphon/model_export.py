@@ -31,20 +31,22 @@ CONVENTIONS = {
 }
 
 _REQUIRED_CONVENTIONS = (*CONVENTIONS, "cutoff_cells")
+# the numbers that deserialize reads and their shapes; "Nq" is the q count
+_NUMERIC_SHAPES = {
+    ("hubbard", "t"): (),
+    ("hubbard", "U"): (),
+    ("coupling_scale", "g_cp"): (),
+    ("phonons", "q"): ("Nq",),
+    ("phonons", "omega", "values"): (6, "Nq"),
+    ("phonons", "xi_re", "values"): (6, 6, "Nq"),
+    ("phonons", "xi_im", "values"): (6, 6, "Nq"),
+    ("couplings", "m_re", "values"): (6, "Nq"),
+    ("couplings", "m_im", "values"): (6, "Nq"),
+    ("couplings", "rho0"): ("Nq",),
+}
 # every key that deserialize reads, as a path into the document
-_REQUIRED_KEYS = (
-    ("provenance", "chain_spec"),
-    ("hubbard", "t"),
-    ("hubbard", "U"),
-    ("coupling_scale", "g_cp"),
-    ("phonons", "q"),
-    ("phonons", "omega", "values"),
-    ("phonons", "xi_re", "values"),
-    ("phonons", "xi_im", "values"),
-    ("couplings", "m_re", "values"),
-    ("couplings", "m_im", "values"),
-    ("couplings", "rho0"),
-)
+_REQUIRED_KEYS = (("provenance", "chain_spec"), *_NUMERIC_SHAPES)
+_ABSENT = object()
 
 
 def conventions_dict(cutoff_cells: int, rho_z_source: str, relaxed: bool) -> dict:
@@ -162,22 +164,28 @@ def serialize(model: ExtendedHHModel, path) -> None:
         fh.write(text)
 
 
-def _has_path(doc: dict, path: tuple) -> bool:
+def _at(doc: dict, path: tuple):
+    """The value at a key path, or _ABSENT."""
     for key in path:
         if not isinstance(doc, dict) or key not in doc:
-            return False
+            return _ABSENT
         doc = doc[key]
-    return True
+    return doc
 
 
-def validate_document(doc: dict) -> None:
+def validate_document(doc: dict) -> dict:
+    """Check every key that deserialize reads; return its numbers as arrays by path.
+
+    t, U and g_cp must be finite numbers; the arrays must hold finite
+    numbers and agree on the q count, 6 bands and 6 components.
+    """
     if not isinstance(doc, dict):
         raise SchemaMismatchError("model document is not a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaMismatchError(
             f"schema_version {doc.get('schema_version')!r} unsupported (expected {SCHEMA_VERSION})"
         )
-    absent = [".".join(path) for path in _REQUIRED_KEYS if not _has_path(doc, path)]
+    absent = [".".join(path) for path in _REQUIRED_KEYS if _at(doc, path) is _ABSENT]
     if absent:
         raise SchemaMismatchError(f"model document lacks key(s): {', '.join(absent)}")
     conv = doc["provenance"].get("conventions", {})
@@ -186,39 +194,51 @@ def validate_document(doc: dict) -> None:
         raise SchemaMismatchError(
             f"provenance.conventions lacks required key(s): {', '.join(lacking)}"
         )
+    arrays = {}
+    for path, shape in _NUMERIC_SHAPES.items():
+        name = ".".join(path)
+        try:
+            arr = np.array(_at(doc, path))
+        except ValueError:  # ragged nesting
+            arr = np.array(None)
+        if arr.dtype.kind not in "if" or not np.isfinite(arr).all():
+            raise SchemaMismatchError(f"{name} must hold finite numbers only")
+        n_q = arrays.get(("phonons", "q"), arr).size  # q is read before every array
+        expected = tuple(n_q if n == "Nq" else n for n in shape)
+        if arr.shape != expected:
+            raise SchemaMismatchError(f"{name} has shape {arr.shape}, expected {expected}"
+                                      f" for the {n_q} entries of phonons.q")
+        arrays[path] = arr
+    return arrays
 
 
 def deserialize(path) -> ExtendedHHModel:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    validate_document(doc)
+    arrays = validate_document(doc)
     prov = doc["provenance"]
     spec = spec_from_dict(prov["chain_spec"])
     conv = dict(prov["conventions"])
-    q = np.array(doc["phonons"]["q"])
-    omega = np.array(doc["phonons"]["omega"]["values"]).T
+    q = arrays["phonons", "q"]
+    omega = arrays["phonons", "omega", "values"].T
     xi = (
-        np.array(doc["phonons"]["xi_re"]["values"])
-        + 1j * np.array(doc["phonons"]["xi_im"]["values"])
+        arrays["phonons", "xi_re", "values"] + 1j * arrays["phonons", "xi_im", "values"]
     ).transpose(2, 1, 0)
     relaxed = conv.get("geometry") == "relaxed"
     bands = BandStructure(
         q_grid=q, omega=omega, xi=xi, spec=spec,
         cutoff_cells=int(conv["cutoff_cells"]), relaxed=relaxed,
     )
-    m = (
-        np.array(doc["couplings"]["m_re"]["values"])
-        + 1j * np.array(doc["couplings"]["m_im"]["values"])
-    ).T
+    m = (arrays["couplings", "m_re", "values"] + 1j * arrays["couplings", "m_im", "values"]).T
     grid = CouplingGrid(
         q_grid=q, m_complex=m, m_abs=np.abs(m),
-        rho0_values=np.array(doc["couplings"]["rho0"]),
+        rho0_values=arrays["couplings", "rho0"],
         omega=omega, spec=spec,
         rho_z_source=conv.get("rho_z_source", "trap"),
         cutoff_cells=int(conv["cutoff_cells"]), relaxed=relaxed,
     )
     return ExtendedHHModel(
-        spec=spec, t=float(doc["hubbard"]["t"]), U=float(doc["hubbard"]["U"]),
-        g_cp=float(doc["coupling_scale"]["g_cp"]), bands=bands, couplings=grid,
+        spec=spec, t=float(arrays["hubbard", "t"]), U=float(arrays["hubbard", "U"]),
+        g_cp=float(arrays["coupling_scale", "g_cp"]), bands=bands, couplings=grid,
         conventions=conv,
     )

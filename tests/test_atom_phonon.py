@@ -174,3 +174,47 @@ def test_zero_frequency_rejected():
     )
     with pytest.raises(ZeroFrequencyError):
         coupling_grid(spec, q_points=8, bands=broken)
+
+
+def _coupling_by_loop(bands, spec, rho_z):
+    """Per-q row reference for coupling_grid's m_complex."""
+    m = np.zeros((len(bands.q_grid), 6), dtype=complex)
+    for k, q in enumerate(bands.q_grid):
+        if np.any(bands.omega[k] <= 0.0):
+            raise ZeroFrequencyError(f"zero phonon frequency at q = {q:g}")
+        phases = np.exp(-1j * q * np.asarray(rho_z))
+        structure = phases @ np.abs(bands.xi[k][[2, 5], :])
+        m[k] = q * rho0(q, spec.d) / np.sqrt(bands.omega[k]) * structure
+    return m
+
+
+@pytest.mark.parametrize("kwargs,q_points,source", [
+    ({"d": 2.0}, 64, "trap"),
+    ({"d": 2.5}, 255, "relaxed"),
+    ({"d": 1.5, "topology": "topological"}, 97, "trap"),
+    ({"d": 2.0, "v_dd": 0.0}, 33, "trap"),
+    ({"d": 1.8, "theta": 0.0, "phi": 0.3}, 128, "trap"),
+])
+def test_coupling_grid_matches_per_row_loop(kwargs, q_points, source):
+    spec = paper_spec(**kwargs)
+    bands = band_structure(spec, q_points=q_points)
+    grid = coupling_grid(spec, q_points=q_points, bands=bands, rho_z_source=source)
+    expected = _coupling_by_loop(bands, spec, base_z_offsets(spec, source))
+    assert grid.m_complex.tobytes() == expected.tobytes()
+
+
+def test_zero_frequency_message_names_first_bad_q():
+    spec = paper_spec()
+    bands = band_structure(spec, q_points=16)
+    omega = bands.omega.copy()
+    omega[[5, 9], 3] = 0.0
+    broken = BandStructure(
+        q_grid=bands.q_grid, omega=omega, xi=bands.xi,
+        spec=spec, cutoff_cells=bands.cutoff_cells, relaxed=False,
+    )
+    with pytest.raises(ZeroFrequencyError) as expected:
+        _coupling_by_loop(broken, spec, base_z_offsets(spec))
+    with pytest.raises(ZeroFrequencyError) as raised:
+        coupling_grid(spec, q_points=16, bands=broken)
+    assert str(raised.value) == str(expected.value)
+    assert f"{bands.q_grid[5]:g}" in str(raised.value)

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,14 @@ from rydphon import (
     relax_bulk,
     relax_finite,
     track_bands,
+)
+from rydphon.bands import (
+    DEFAULT_CUTOFF_CELLS,
+    _best_permutations,
+    _dynamical_matrices,
+    _gauge_fix,
+    _respan_degenerate,
+    _suppress_touches,
 )
 
 from conftest import paper_spec
@@ -310,3 +320,110 @@ def test_crossing_events_match_pairwise_loop(d):
                 if (pos[k - 1, a] - pos[k - 1, b]) * (pos[k, a] - pos[k, b]) < 0:
                     expected.append((a + 1, b + 1, float(bands.q_grid[k])))
     assert band_diagnostics(bands).crossings == tuple(expected)
+
+
+# ---------------------------------------------------------------------------
+# per-q loop references for the batched kernels; results must match bit for bit
+
+def _best_permutation_by_loop(overlaps):
+    best, best_score = None, -np.inf
+    for p in permutations(range(6)):
+        score = overlaps[0, p[0]] + overlaps[1, p[1]] + overlaps[2, p[2]] \
+            + overlaps[3, p[3]] + overlaps[4, p[4]] + overlaps[5, p[5]]
+        if score > best_score:
+            best_score, best = score, p
+    return best
+
+
+def _track_bands_by_loop(bands, min_run=3):
+    n_q = len(bands.q_grid)
+    pos = np.zeros((n_q, 6), dtype=int)
+    pos[0] = np.arange(6)
+    for k in range(1, n_q):
+        overlaps = np.abs(bands.xi[k - 1].conj().T @ bands.xi[k])
+        perm = _best_permutation_by_loop(overlaps)
+        pos[k] = [perm[pos[k - 1, l]] for l in range(6)]
+    pos = _suppress_touches(pos, min_run)
+    k0 = int(np.argmin(np.abs(bands.q_grid)))
+    return pos[:, np.argsort(pos[k0])]
+
+
+def _gauge_fix_column(vec):
+    zmags = np.abs(vec[[2, 5]])
+    if zmags.max() > 1e-12:
+        idx = (2, 5)[int(np.argmax(zmags))]
+    else:
+        idx = int(np.argmax(np.abs(vec)))
+    phase = vec[idx]
+    mag = abs(phase)
+    if mag == 0.0:
+        return vec
+    return vec * (phase.conjugate() / mag)
+
+
+def _resolve_by_loop(lam, vec):
+    xi = np.empty_like(vec)
+    for k in range(len(lam)):
+        xi[k] = _respan_degenerate(lam[k], vec[k])
+        for j in range(6):
+            xi[k, :, j] = _gauge_fix_column(xi[k, :, j])
+    return xi
+
+
+@pytest.mark.parametrize("q_points", [32, 63])
+@pytest.mark.parametrize("topology", [Topology.TRIVIAL, Topology.TOPOLOGICAL])
+@pytest.mark.parametrize("d", [1.5, 1.7, 2.5])
+def test_track_bands_matches_per_step_loop(d, topology, q_points):
+    bands = band_structure(paper_spec(d=d, topology=topology), q_points=q_points)
+    for min_run in (1, 3):
+        assert np.array_equal(track_bands(bands, min_run), _track_bands_by_loop(bands, min_run))
+
+
+def test_best_permutations_break_ties_in_itertools_order():
+    rng = np.random.default_rng(7)
+    # small integers make exact score ties common; all-equal rows tie everything
+    stack = np.concatenate([rng.integers(0, 3, (40, 6, 6)).astype(float),
+                            np.ones((1, 6, 6)), np.zeros((1, 6, 6))])
+    stack[0, :2, :2] = 1.0  # swapping bands 1 and 2 scores the same
+    expected = np.array([_best_permutation_by_loop(ov) for ov in stack])
+    assert np.array_equal(_best_permutations(stack), expected)
+    assert np.array_equal(_best_permutations(stack[-2:]), [range(6), range(6)])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"d": 2.0},
+    {"d": 1.6, "topology": Topology.TOPOLOGICAL},
+    {"d": 2.0, "v_dd": 0.0},
+    {"d": 2.0, "v_dd": 0.0, "nu": (1.0, 1.0, 2.0)},
+    {"d": 2.2, "theta": np.pi / 2, "phi": np.pi / 2},
+])
+@pytest.mark.parametrize("q_points", [32, 63])
+def test_resolved_eigenvectors_match_per_column_loop(kwargs, q_points):
+    spec = paper_spec(**kwargs)
+    qs = q_grid(spec, q_points)
+    dyn = _dynamical_matrices(qs, spec, np.zeros((2, 3)), DEFAULT_CUTOFF_CELLS)
+    lam, vec = np.linalg.eigh(dyn)
+    xi = band_structure(spec, q_points=q_points).xi
+    assert xi.tobytes() == _resolve_by_loop(lam, vec).tobytes()
+
+
+def test_resolved_eigenvector_cases_are_covered():
+    # degenerate groups, and columns whose z components are all below 1e-12
+    bands = band_structure(paper_spec(), q_points=32)
+    assert (np.abs(bands.xi[:, [2, 5], :]).max(axis=1) <= 1e-12).any()
+    flat = band_structure(paper_spec(v_dd=0.0, nu=(1.0, 1.0, 2.0)), q_points=32)
+    assert (np.diff(flat.omega, axis=1) == 0.0).any()
+
+
+def test_gauge_fix_matches_per_column_loop_on_synthetic_vectors():
+    rng = np.random.default_rng(11)
+    xi = rng.standard_normal((20, 6, 6)) + 1j * rng.standard_normal((20, 6, 6))
+    xi[0, :, 0] = 0.0                    # zero column: left as it is
+    xi[1, [2, 5], 1] = 1e-13             # z below threshold: largest component overall
+    xi[2, 5, 2] = xi[2, 2, 2] * 1j       # |z_A| == |z_B|: the first one wins
+    xi[3, :, 3] = -0.0
+    expected = xi.copy()
+    for k in range(len(xi)):
+        for j in range(6):
+            expected[k, :, j] = _gauge_fix_column(xi[k, :, j])
+    assert _gauge_fix(xi).tobytes() == expected.tobytes()

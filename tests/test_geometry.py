@@ -6,6 +6,7 @@ import pytest
 
 from rydphon import ChainSpec, ConfigError, Topology, dipole_unit, magic_angle, trap_centers
 from rydphon.geometry import atom_base, atom_cell, atom_index, load_chain_spec, spec_from_dict, spec_to_dict
+from rydphon.model_export import spec_digest
 
 from conftest import paper_spec
 
@@ -106,6 +107,13 @@ def test_spec_defaults():
     {"n_cells": 2, "d": 2.0, "nu": (1.0, math.inf, 1.0)},
     {"n_cells": 2, "d": 2.0, "nu": (math.nan, 1.0, 1.0)},
     *({"n_cells": n, "d": 2.0} for n in (2.5, 2.0, True, "3", None)),
+    *({"n_cells": 2, "d": 2.0, field: value}
+      for field in ("d", "delta", "a", "theta", "phi", "mass", "v_dd")
+      for value in ("magic", "2.0", None, True, [1.0])
+      if not (field == "a" and value is None)),  # a=None means a = 2 d
+    {"n_cells": 2, "d": 2.0, "nu": "abc"},
+    {"n_cells": 2, "d": 2.0, "nu": (1.0, "2", 1.0)},
+    {"n_cells": 2, "d": 2.0, "nu": [[1.0, 2.0], [3.0]]},
 ])
 def test_spec_validation(bad):
     with pytest.raises(ConfigError):
@@ -116,6 +124,23 @@ def test_spec_accepts_numpy_integer_n_cells():
     spec = ChainSpec(n_cells=np.int64(3), d=2.0)
     assert spec == ChainSpec(n_cells=3, d=2.0)
     assert json.dumps(spec_to_dict(spec)) == json.dumps(spec_to_dict(ChainSpec(n_cells=3, d=2.0)))
+
+
+def test_spec_converts_numpy_scalars_to_plain_numbers():
+    spec = ChainSpec(n_cells=3, d=np.float32(2.0), delta=np.float64(1.0), phi=np.int16(0),
+                     nu=np.array([1.0, 1.0, 1.0], dtype=np.float32), mass=np.float32(1.0))
+    assert type(spec.d) is float and type(spec.a) is float and type(spec.phi) is int
+    assert all(type(x) is float for x in spec.nu)
+    plain = ChainSpec(n_cells=3, d=2.0, delta=1.0, phi=0, mass=1.0)
+    assert spec == plain
+    assert spec_digest(spec) == spec_digest(plain)
+
+
+def test_spec_keeps_python_numbers_as_given():
+    # "delta": 1 in a JSON config must digest as 1, not 1.0
+    spec = spec_from_dict({"n_cells": 3, "d": 2, "delta": 1})
+    assert type(spec.delta) is int and type(spec.d) is int
+    assert json.dumps(spec_to_dict(spec)["delta"]) == "1"
 
 
 def test_spec_from_dict_magic_theta():

@@ -7,6 +7,7 @@ from rydphon import SchemaMismatchError, assemble, deserialize, serialize
 from rydphon.atom_phonon import physical_coupling
 from rydphon.model_export import (
     SCHEMA_VERSION,
+    _at,
     document_text,
     model_document,
     validate_document,
@@ -142,3 +143,43 @@ def test_floats_survive_json_exactly(model, tmp_path):
     doc = json.loads(path.read_text())
     stored = np.array(doc["phonons"]["omega"]["values"]).T
     assert np.array_equal(stored, model.bands.omega)
+
+
+def _write_edited(tmp_path, doc, path, value):
+    _at(doc, path[:-1])[path[-1]] = value
+    file = tmp_path / "edited.json"
+    file.write_text(json.dumps(doc))
+    return file
+
+
+@pytest.mark.parametrize("path,trim,named", [
+    (("phonons", "q"), lambda v: v[:-3], r"phonons\.omega\.values has shape \(6, 64\)"),
+    (("phonons", "omega", "values"), lambda v: v[:5], None),                 # 5 bands
+    (("phonons", "xi_re", "values"), lambda v: [b[:5] for b in v], None),    # 5 components
+    (("phonons", "xi_im", "values"), lambda v: [[c[:-1] for c in b] for b in v], None),
+    (("couplings", "m_re", "values"), lambda v: [b[1:] for b in v], None),
+    (("couplings", "m_im", "values"), lambda v: v + v[:1], None),
+    (("couplings", "rho0",), lambda v: v[:-1], None),
+])
+def test_array_shape_mismatch_rejected(model, tmp_path, path, trim, named):
+    doc = model_document(model)
+    file = _write_edited(tmp_path, doc, path, trim(_at(doc, path)))
+    with pytest.raises(SchemaMismatchError, match=named or ".".join(path) + " has shape"):
+        deserialize(file)
+
+
+@pytest.mark.parametrize("path,value", [
+    (("phonons", "q"), ["0.1"] * 64),
+    (("phonons", "omega", "values"), [[1.0, 2.0]] * 5 + [[1.0]]),   # ragged
+    (("couplings", "m_re", "values"), [[float("nan")] * 64] * 6),
+    (("couplings", "rho0"), None),
+    (("hubbard", "t"), "one"),
+    (("hubbard", "U"), float("nan")),
+    (("hubbard", "U"), True),
+    (("coupling_scale", "g_cp"), None),
+    (("coupling_scale", "g_cp"), float("inf")),
+])
+def test_non_numeric_or_non_finite_value_rejected(model, tmp_path, path, value):
+    file = _write_edited(tmp_path, model_document(model), path, value)
+    with pytest.raises(SchemaMismatchError, match=".".join(path) + " must hold finite numbers"):
+        deserialize(file)

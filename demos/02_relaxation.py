@@ -1,8 +1,10 @@
 """Relax finite chains and the translationally invariant bulk.
 
-The dipolar forces push atoms away from the tweezer centers; the finite
-solver follows Newton steps with an energy line search, the bulk solver
-works on the six per-cell displacement coordinates.  Below d ~ 1.9 the
+The dipolar forces push atoms away from the tweezer centers.  Both
+solvers run the same descent: capped Newton steps, each accepted only
+once a backtracking line search has lowered the energy.  The finite
+solver moves all 3N coordinates; the bulk solver moves the six per-cell
+displacement coordinates (delta_A, delta_B).  Below d ~ 1.9 the
 symmetric equilibrium no longer exists (the chain would collapse), which
 is why the band pipeline defaults to bare trap centers.
 """

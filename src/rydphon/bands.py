@@ -14,7 +14,7 @@ from itertools import permutations
 import numpy as np
 
 from .equilibrium import DEFAULT_CUTOFF_CELLS, BulkEquilibrium, relax_bulk, relax_finite
-from .errors import ImaginaryFrequencyError
+from .errors import ConfigError, ImaginaryFrequencyError
 from .geometry import ChainSpec, base_offsets, trap_centers
 from .potential import _pair_hessians, hessian
 
@@ -65,6 +65,8 @@ def _real_space_blocks(spec: ChainSpec, deltas: np.ndarray, cutoff_cells: int):
 
 
 def _dynamical_matrices(qs, spec: ChainSpec, deltas, cutoff_cells: int) -> np.ndarray:
+    if cutoff_cells < 1:
+        raise ValueError("cutoff_cells must be >= 1")
     cells, blocks = _real_space_blocks(spec, deltas, cutoff_cells)
     phases = np.exp(1j * np.asarray(qs)[:, None] * cells[None, :] * spec.a)
     return np.einsum("qn,nij->qij", phases, blocks)
@@ -405,8 +407,11 @@ def band_diagnostics(bands: BandStructure, min_run: int = 3,
     Concavity is the quadratic coefficient of a fit over the central
     window |q| <= concavity_window * pi/a; a plain 3-point stencil is too
     local to capture the band-shape change of nearly flat bands and is
-    reported alongside.
+    reported alongside.  A grid with fewer than 3 points in the window
+    raises ConfigError naming the smallest q_points that has 3.
     """
+    if concavity_window <= 0:
+        raise ValueError("concavity_window must be positive")
     qs = bands.q_grid
     omega = bands.omega
     pos = track_bands(bands, min_run=min_run)
@@ -418,7 +423,15 @@ def band_diagnostics(bands: BandStructure, min_run: int = 3,
     k0 = int(np.argmin(np.abs(qs)))
     stencil = omega[k0 + 1] - 2.0 * omega[k0] + omega[k0 - 1] \
         if 0 < k0 < len(qs) - 1 else np.zeros(6)
-    window = np.abs(qs) <= concavity_window * np.pi / bands.spec.a
+    window_edge = concavity_window * np.pi / bands.spec.a
+    window = np.abs(qs) <= window_edge
+    if np.count_nonzero(window) < 3:
+        n = max(2, int(1.0 / concavity_window))  # coarser grids are spaced wider than the window
+        while np.count_nonzero(np.abs(q_grid(bands.spec, n)) <= window_edge) < 3:
+            n += 1
+        raise ConfigError(f"q_points={len(qs)} leaves {np.count_nonzero(window)} grid point(s) in "
+                          f"|q| <= {concavity_window:g} pi/a, and the concavity fit needs 3; "
+                          f"the smallest q_points that gives 3 is {n}")
     coeff = np.array([np.polyfit(qs[window], omega[window, j], 2)[0] for j in range(6)])
     return BandDiagnostics(
         crossings=tuple(events),

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: bands, spectrum, local, coupling, sweep, export, check.
-Exit codes: 0 success, 1 computation error, 2 configuration error,
-3 check failure.  All outputs are deterministic functions of the
-configuration file and the arguments; the sweep evaluates its points
-one after another and writes them in sweep order.
+Exit codes: 0 success, 1 computation error, 2 configuration or
+argument error, 3 check failure.  All outputs are deterministic
+functions of the configuration file and the arguments; the sweep
+evaluates its points one after another and writes them in sweep order.
 """
 
 from __future__ import annotations
@@ -251,10 +251,19 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer >= low; argparse exits with status 2 otherwise."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def _add_common(p, q_points=True):
     p.add_argument("config", help="chain configuration file (JSON)")
     if q_points:
-        p.add_argument("--q-points", type=int, default=DEFAULT_Q_POINTS, dest="q_points")
+        p.add_argument("--q-points", type=_int_at_least(2), default=DEFAULT_Q_POINTS, dest="q_points")
     p.add_argument("--relax", action="store_true",
                    help="use relaxed equilibrium positions instead of trap centers")
 
@@ -267,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bands", help="bulk phonon band structure CSV")
     _add_common(p)
-    p.add_argument("--cutoff-cells", type=int, default=DEFAULT_CUTOFF_CELLS, dest="cutoff_cells")
+    p.add_argument("--cutoff-cells", type=_int_at_least(1), default=DEFAULT_CUTOFF_CELLS, dest="cutoff_cells")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bands)
 

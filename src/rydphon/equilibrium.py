@@ -1,10 +1,10 @@
 """Stationary points of the chain potential.
 
-Two solvers: full Newton relaxation of a finite chain, and a
-translational-ansatz relaxation of the infinite (bulk) chain where every
-cell shares the same per-base displacement.  Both use the analytic
-gradient and Hessian; Newton steps are accepted only if they lower the
-energy (finite chain) or the force residual (bulk).
+The finite chain is relaxed in all 3N coordinates, the infinite (bulk)
+chain under the ansatz that every cell shares the per-base displacements
+(delta_A, delta_B).  Both run one descent, ``_newton_descent``: capped
+Newton steps from the analytic gradient and Hessian, each accepted once
+an Armijo backtracking search has lowered the energy.
 """
 
 from __future__ import annotations
@@ -42,31 +42,17 @@ def relax_finite(
     local minimum (kept as a flag, not an error, since squeezed chains do
     go unstable).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    x = trap_centers(spec).positions.reshape(-1).copy()
-    cap = _step_cap(spec)
-    energy = _config_energy(x, spec)
-    history = [energy]
-    n_iter = 0
-    grad = gradient(_as_config(x), spec)
-    residual = float(np.abs(grad).max())
-    while residual >= tol:
-        if n_iter >= max_iter:
-            raise MaxIterExceededError(
-                f"finite relaxation did not reach tol={tol:g} in {max_iter} iterations "
-                f"(residual {residual:.3e})",
-                residual=residual,
-                last_iterate=_as_config(x, residual=residual),
-            )
-        hess = hessian(_as_config(x), spec)
-        step = _clip_step(_newton_direction(hess, grad), cap)
-        x, energy = _line_search(x, energy, grad, step, spec)
-        history.append(energy)
-        grad = gradient(_as_config(x), spec)
-        residual = float(np.abs(grad).max())
-        n_iter += 1
-    min_eig = float(np.linalg.eigvalsh(hessian(_as_config(x), spec)).min())
+
+    def evaluate(x):
+        config = Configuration(x.reshape(-1, 3))
+        return (total_energy(config, spec).total,
+                lambda: (gradient(config, spec), hessian(config, spec)))
+
+    x, residual, hess, n_iter, history = _newton_descent(
+        trap_centers(spec).positions.reshape(-1).copy(), evaluate, _step_cap(spec),
+        tol, max_iter, "finite", lambda x, residual: Configuration(x.reshape(-1, 3), residual),
+    )
+    min_eig = float(np.linalg.eigvalsh(hess).min())
     return Configuration(
         positions=x.reshape(-1, 3),
         residual_inf_norm=residual,
@@ -78,12 +64,53 @@ def relax_finite(
     )
 
 
-def _as_config(x: np.ndarray, residual: float | None = None) -> Configuration:
-    return Configuration(x.reshape(-1, 3), residual)
+def _newton_descent(x, evaluate, cap, tol, max_iter, what, iterate):
+    """Capped Newton descent with Armijo backtracking on the flat vector x.
 
-
-def _config_energy(x: np.ndarray, spec: ChainSpec) -> float:
-    return total_energy(_as_config(x), spec).total
+    evaluate(x) returns (energy, derivatives); derivatives() gives the
+    (gradient, Hessian) at x and is called only at accepted points.  Returns
+    (x, residual, Hessian at x, iterations, energy history) once
+    ||gradient||_inf < tol; a failure's last_iterate is iterate(x, residual).
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    energy, derivatives = evaluate(x)
+    grad, hess = derivatives()
+    history = [energy]
+    residual = float(np.abs(grad).max())
+    n_iter = 0
+    while residual >= tol:
+        if n_iter >= max_iter:
+            raise MaxIterExceededError(
+                f"{what} relaxation did not reach tol={tol:g} in {max_iter} iterations "
+                f"(residual {residual:.3e})",
+                residual=residual,
+                last_iterate=iterate(x, residual),
+            )
+        step = _newton_direction(hess, grad)
+        biggest = float(np.abs(step).max())
+        if biggest > cap:
+            step = step * (cap / biggest)
+        slope = float(grad @ step)
+        alpha = 1.0
+        while alpha > 1e-14:
+            trial = x + alpha * step
+            e_new, derivatives = evaluate(trial)
+            if e_new <= energy + 1e-4 * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
+            raise MaxIterExceededError(
+                f"{what} line search failed to decrease the energy",
+                residual=residual,
+                last_iterate=iterate(x, residual),
+            )
+        x, energy = trial, e_new
+        history.append(energy)
+        grad, hess = derivatives()
+        residual = float(np.abs(grad).max())
+        n_iter += 1
+    return x, residual, hess, n_iter, history
 
 
 def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -106,31 +133,6 @@ def _step_cap(spec: ChainSpec) -> float:
     """
     scale = spec.d if spec.delta <= 0 else min(spec.d, spec.delta)
     return 0.2 * scale
-
-
-def _clip_step(step: np.ndarray, cap: float) -> np.ndarray:
-    biggest = float(np.abs(step).max())
-    if biggest > cap:
-        return step * (cap / biggest)
-    return step
-
-
-def _line_search(x, energy, grad, step, spec, c1: float = 1e-4):
-    """Backtracking line search enforcing an Armijo decrease of the energy."""
-    slope = float(grad @ step)
-    alpha = 1.0
-    while alpha > 1e-14:
-        x_new = x + alpha * step
-        e_new = _config_energy(x_new, spec)
-        if e_new <= energy + c1 * alpha * slope:
-            return x_new, e_new
-        alpha *= 0.5
-    residual = float(np.abs(grad).max())
-    raise MaxIterExceededError(
-        "line search failed to decrease the energy",
-        residual=residual,
-        last_iterate=_as_config(x, residual=residual),
-    )
 
 
 @dataclass(frozen=True)
@@ -206,38 +208,16 @@ def _bulk_energy_force_hessian(deltas: np.ndarray, spec: ChainSpec, tables):
 def _solve_bulk(spec: ChainSpec, tol: float, cutoff_cells: int, max_iter: int):
     """Newton descent of the per-cell energy over (delta_A, delta_B)."""
     tables = _bulk_partner_table(spec, cutoff_cells)
-    deltas = np.zeros((2, 3))
-    cap = _step_cap(spec)
-    energy, grad, hess = _bulk_energy_force_hessian(deltas, spec, tables)
-    residual = float(np.abs(grad).max())
-    n_iter = 0
-    while residual >= tol:
-        if n_iter >= max_iter:
-            raise MaxIterExceededError(
-                f"bulk relaxation did not reach tol={tol:g} in {max_iter} iterations "
-                f"(residual {residual:.3e})",
-                residual=residual,
-                last_iterate=deltas.copy(),
-            )
-        step = _clip_step(_newton_direction(hess, grad.reshape(-1)), cap).reshape(2, 3)
-        slope = float(grad.reshape(-1) @ step.reshape(-1))
-        alpha = 1.0
-        while alpha > 1e-14:
-            trial = deltas + alpha * step
-            e_new, g_new, h_new = _bulk_energy_force_hessian(trial, spec, tables)
-            if e_new <= energy + 1e-4 * alpha * slope:
-                break
-            alpha *= 0.5
-        else:
-            raise MaxIterExceededError(
-                "bulk line search stalled",
-                residual=residual,
-                last_iterate=deltas.copy(),
-            )
-        deltas, energy, grad, hess = trial, e_new, g_new, h_new
-        residual = float(np.abs(grad).max())
-        n_iter += 1
-    return deltas, residual, n_iter
+
+    def evaluate(x):
+        energy, grad, hess = _bulk_energy_force_hessian(x.reshape(2, 3), spec, tables)
+        return energy, lambda: (grad.reshape(-1), hess)
+
+    x, residual, _, n_iter, _ = _newton_descent(
+        np.zeros(6), evaluate, _step_cap(spec), tol, max_iter, "bulk",
+        lambda x, residual: x.reshape(2, 3),
+    )
+    return x.reshape(2, 3), residual, n_iter
 
 
 def relax_bulk(
@@ -245,28 +225,24 @@ def relax_bulk(
     tol: float = DEFAULT_BULK_TOL,
     cutoff_cells: int = DEFAULT_CUTOFF_CELLS,
     max_iter: int = DEFAULT_MAX_ITER,
-    check_cutoff: bool = True,
 ) -> BulkEquilibrium:
     """Displacements (delta_A, delta_B) of the infinite chain under the
     ansatz that every cell moves identically.
 
-    Neighbor sums run over |n| <= cutoff_cells.  With check_cutoff the
-    solve is repeated at twice the cutoff and NonConvergedCutoffError is
-    raised if the answer moves by more than 10*tol.
+    Neighbor sums run over |n| <= cutoff_cells.  The solve is repeated at
+    twice the cutoff and NonConvergedCutoffError is raised if the answer
+    moves by more than 10*tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if cutoff_cells < 1:
         raise ValueError("cutoff_cells must be >= 1")
     deltas, residual, n_iter = _solve_bulk(spec, tol, cutoff_cells, max_iter)
-    if check_cutoff:
-        deltas2, _, _ = _solve_bulk(spec, tol, 2 * cutoff_cells, max_iter)
-        drift = float(np.abs(deltas2 - deltas).max())
-        if drift > 10.0 * tol:
-            raise NonConvergedCutoffError(
-                f"doubling cutoff_cells from {cutoff_cells} moved the bulk displacements "
-                f"by {drift:.3e} (> 10*tol = {10 * tol:.3e}); increase cutoff_cells or tol"
-            )
+    deltas2, _, _ = _solve_bulk(spec, tol, 2 * cutoff_cells, max_iter)
+    drift = float(np.abs(deltas2 - deltas).max())
+    if drift > 10.0 * tol:
+        raise NonConvergedCutoffError(
+            f"doubling cutoff_cells from {cutoff_cells} moved the bulk displacements "
+            f"by {drift:.3e} (> 10*tol = {10 * tol:.3e}); increase cutoff_cells or tol"
+        )
     return BulkEquilibrium(
         delta_a=deltas[0].copy(),
         delta_b=deltas[1].copy(),

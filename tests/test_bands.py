@@ -5,6 +5,7 @@ import pytest
 
 from rydphon import (
     ChainSpec,
+    ConfigError,
     EdgeDetectionParams,
     ImaginaryFrequencyError,
     Topology,
@@ -187,6 +188,17 @@ def test_concavity_flip_of_bands_one_and_six():
         signs[6].append(diag.concavity[5])
     assert signs[1][0] != signs[1][1]
     assert signs[6][0] != signs[6][1]
+
+
+@pytest.mark.parametrize("q_points", [2, 3, 5])
+def test_concavity_fit_needs_three_points_in_window(q_points):
+    # |q| <= pi/(2a) holds 1, 2 and 2 grid points; q_points = 4 is the smallest with 3
+    bands = band_structure(paper_spec(), q_points=q_points)
+    with pytest.raises(ConfigError, match="smallest q_points that gives 3 is 4"):
+        band_diagnostics(bands)
+    with pytest.raises(ValueError):
+        band_diagnostics(bands, concavity_window=0.0)
+    assert band_diagnostics(band_structure(paper_spec(), q_points=4)).concavity.shape == (6,)
 
 
 def test_finite_spectrum_flat_without_dipoles():

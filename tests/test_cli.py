@@ -59,6 +59,36 @@ def test_non_finite_or_fractional_config_exits_two(tmp_path, capsys, command, te
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bands", "--q-points", "1"],
+    ["coupling", "--q-points", "1"],
+    ["bands", "--cutoff-cells", "0", "--relax"],
+    ["bands", "--cutoff-cells", "-1"],
+])
+def test_out_of_range_integer_argument_exits_two(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main([argv[0], cfg, *argv[1:], "--out", str(tmp_path / "out.csv")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be an integer >=" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("q_points", ["2", "3", "5"])
+@pytest.mark.parametrize("command", [
+    ["bands"],
+    ["sweep", "--from", "1.9", "--to", "2.0", "--steps", "2"],
+])
+def test_too_few_q_points_for_concavity_fit_exits_two(tmp_path, capsys, command, q_points):
+    cfg = write_config(tmp_path)
+    argv = [command[0], cfg, *command[1:], "--q-points", q_points, "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "smallest q_points that gives 3 is 4" in err
+
+
 def test_unstable_chain_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, d=1.3)
     assert main(["bands", cfg]) == 1

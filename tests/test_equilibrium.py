@@ -6,6 +6,8 @@ from rydphon import (
     MaxIterExceededError,
     NonConvergedCutoffError,
     Topology,
+    band_structure,
+    dynamical_matrix,
     gradient,
     relax_bulk,
     relax_finite,
@@ -44,12 +46,17 @@ def test_relaxed_energy_below_trap_center_energy():
     assert total_energy(cfg, spec).total <= total_energy(trap_centers(spec), spec).total
 
 
-def test_max_iter_exceeded_payload():
+@pytest.mark.parametrize("solver", ["finite", "bulk"])
+def test_max_iter_exceeded_payload(solver):
     spec = paper_spec()
-    with pytest.raises(MaxIterExceededError) as info:
-        relax_finite(spec, max_iter=0)
+    relax = relax_finite if solver == "finite" else relax_bulk
+    with pytest.raises(MaxIterExceededError, match=f"^{solver} relaxation") as info:
+        relax(spec, max_iter=0)
     assert info.value.residual > 0.0
-    assert info.value.last_iterate.n_atoms == spec.n_atoms
+    if solver == "finite":
+        assert info.value.last_iterate.n_atoms == spec.n_atoms
+    else:
+        assert info.value.last_iterate.shape == (2, 3)
 
 
 def test_unstable_equilibrium_is_flagged_not_raised():
@@ -90,9 +97,9 @@ def test_bulk_matches_interior_of_long_finite_chain():
     spec = ChainSpec(n_cells=32, d=2.0)
     cfg = relax_finite(spec, tol=1e-10)
     disp = cfg.positions - trap_centers(spec).positions
-    eq = relax_bulk(spec, tol=1e-12, cutoff_cells=64, check_cutoff=False)
+    deltas, _, _ = _solve_bulk(spec, 1e-12, 64, 200)
     middle_atom = spec.n_atoms // 2  # cell 16, base A
-    assert np.abs(disp[middle_atom] - eq.delta_a).max() < 1e-6
+    assert np.abs(disp[middle_atom] - deltas[0]).max() < 1e-6
 
 
 def test_cutoff_convergence_is_fifth_power():
@@ -129,5 +136,10 @@ def test_bulk_topology_gives_mirrored_displacements(topology):
 def test_bulk_validates_arguments():
     with pytest.raises(ValueError):
         relax_bulk(paper_spec(), tol=-1.0)
-    with pytest.raises(ValueError):
-        relax_bulk(paper_spec(), cutoff_cells=0)
+    for cutoff_cells in (0, -1):
+        with pytest.raises(ValueError):
+            relax_bulk(paper_spec(), cutoff_cells=cutoff_cells)
+        with pytest.raises(ValueError):
+            band_structure(paper_spec(), cutoff_cells=cutoff_cells)
+        with pytest.raises(ValueError):
+            dynamical_matrix(0.3, paper_spec(), cutoff_cells=cutoff_cells)

@@ -131,13 +131,3 @@ def physical_coupling(grid: CouplingGrid, g_cp: float, mass: float | None = None
     if mass is None:
         mass = grid.spec.mass
     return g_cp * np.sqrt(hbar / (2.0 * mass)) * grid.m_complex
-
-
-COUPLING_CSV_HEADER = "q,band,re_m,im_m,abs_m,rho0,omega"
-
-
-def coupling_csv_rows(grid: CouplingGrid):
-    for k, q in enumerate(grid.q_grid):
-        for j in range(6):
-            z = grid.m_complex[k, j]
-            yield [q, j + 1, z.real, z.imag, abs(z), grid.rho0_values[k], grid.omega[k, j]]

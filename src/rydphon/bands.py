@@ -440,30 +440,3 @@ def band_diagnostics(bands: BandStructure, min_run: int = 3,
         second_difference_q0=stencil,
         bandwidth=omega.max(axis=0) - omega.min(axis=0),
     )
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-def band_csv_rows(bands: BandStructure):
-    """Rows (q, band, omega, Re/Im of the six xi components)."""
-    parts = np.stack([bands.xi.real, bands.xi.imag], axis=-1)   # (Nq, 6, 6, 2)
-    for k, q in enumerate(bands.q_grid):
-        for j in range(bands.n_bands):
-            yield [q, j + 1, bands.omega[k, j], *parts[k, :, j].ravel()]
-
-
-BAND_CSV_HEADER = (
-    "q,band,omega,"
-    "re_xi_ax,im_xi_ax,re_xi_ay,im_xi_ay,re_xi_az,im_xi_az,"
-    "re_xi_bx,im_xi_bx,re_xi_by,im_xi_by,re_xi_bz,im_xi_bz"
-)
-
-SPECTRUM_CSV_HEADER = "mode,omega,ipr,end_decay,edge_flag,nearest_band"
-
-
-def spectrum_csv_rows(fs: FiniteSpectrum):
-    rep = fs.report
-    for m, om in enumerate(fs.frequencies):
-        yield [m, om, rep.ipr[m], rep.end_decay[m],
-               int(rep.edge_flags[m]), rep.nearest_band[m]]

@@ -5,45 +5,33 @@ Exit codes: 0 success, 1 computation error, 2 configuration or
 argument error, 3 check failure.  All outputs are deterministic
 functions of the configuration file and the arguments; the sweep
 evaluates its points one after another and writes them in sweep order.
+
+Every CSV goes through one writer, ``_write_table``: each subcommand
+hands it named columns of equal length, the header is their names, and
+the rows are formatted and written a fixed number at a time, to the file
+or to stdout, so no output's whole text is held in memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
 
 from . import __version__
-from .atom_phonon import (
-    COUPLING_CSV_HEADER,
-    coupled_band_count,
-    coupled_bands,
-    coupling_csv_rows,
-    coupling_grid,
-    rho0,
-)
+from .atom_phonon import coupled_band_count, coupled_bands, coupling_grid, rho0
 from .bands import (
-    BAND_CSV_HEADER,
     DEFAULT_CUTOFF_CELLS,
     DEFAULT_Q_POINTS,
-    SPECTRUM_CSV_HEADER,
-    band_csv_rows,
     band_diagnostics,
     band_structure,
     finite_spectrum,
-    spectrum_csv_rows,
 )
 from .errors import ConfigError, RydphonError
 from .geometry import ChainSpec, Configuration, load_chain_spec, trap_centers
-from .local_phonons import (
-    G_CSV_HEADER,
-    J_CSV_HEADER,
-    bogoliubov_frequencies,
-    g_csv_rows,
-    j_csv_rows,
-    local_phonon_model,
-)
+from .local_phonons import bogoliubov_frequencies, local_phonon_model
 from .model_export import CONVENTIONS, assemble, serialize, spec_digest
 from .potential import fd_gradient, fd_hessian, gradient, hessian, total_energy
 
@@ -53,45 +41,45 @@ EXIT_CONFIG = 2
 EXIT_CHECK = 3
 
 _CONVENTIONS_COMMENT = "conventions: " + "; ".join(f"{k}={v}" for k, v in CONVENTIONS.items())
+_CHUNK_ROWS = 4096
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+def _write_table(path, spec: ChainSpec, columns: dict, comments=()):
+    """Write a CSV table to ``path``, or to stdout when it is None.
+
+    ``columns`` maps each column name, in order, to a 1-D array or list;
+    all have the same length.  Comment lines with the tool version, configuration
+    hash, conventions and ``comments`` come first, then the names.  A cell
+    is ``str`` of the array's ``.tolist()`` entry, which for a float is its
+    shortest round-trip repr.
+    """
+    cols = [np.asarray(c) for c in columns.values()]
+    head = [f"rydphon {__version__}", f"config_hash={spec_digest(spec)}", _CONVENTIONS_COMMENT,
+            *comments]
+    with (open(path, "w", encoding="utf-8") if path is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write("".join(f"# {line}\n" for line in head) + ",".join(columns) + "\n")
+        for start in range(0, len(cols[0]), _CHUNK_ROWS):
+            cells = [map(str, c[start:start + _CHUNK_ROWS].tolist()) for c in cols]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _write_csv(path, spec: ChainSpec, header: str, rows, extra_comments=()):
-    lines = [f"# rydphon {__version__}", f"# config_hash={spec_digest(spec)}"]
-    lines.append(f"# {_CONVENTIONS_COMMENT}")
-    lines.extend(f"# {c}" for c in extra_comments)
-    lines.append(header)
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _crossing_report(diag) -> list:
-    return [
-        "crossing bands ({a},{b}) at q={q}".format(a=a, b=b, q=_fmt(q))
-        for a, b, q in diag.crossings
-    ]
+def _q_band_columns(q_grid: np.ndarray) -> dict:
+    """The (q, band) key columns of a table with one row per q point and band."""
+    return {"q": np.repeat(q_grid, 6), "band": np.tile(np.arange(1, 7), len(q_grid))}
 
 
 def cmd_bands(args) -> int:
     spec = load_chain_spec(args.config)
     bands = band_structure(spec, q_points=args.q_points,
                            cutoff_cells=args.cutoff_cells, relax=args.relax)
-    diag = band_diagnostics(bands)
-    report = _crossing_report(diag)
-    _write_csv(args.out, spec, BAND_CSV_HEADER, band_csv_rows(bands), report)
+    report = [f"crossing bands ({a},{b}) at q={q!r}" for a, b, q in band_diagnostics(bands).crossings]
+    columns = {**_q_band_columns(bands.q_grid), "omega": bands.omega.ravel()}
+    components = [atom + axis for atom in "ab" for axis in "xyz"]
+    for c, name in enumerate(components):   # xi is indexed (q, component, band)
+        columns[f"re_xi_{name}"] = bands.xi[:, c].real.ravel()
+        columns[f"im_xi_{name}"] = bands.xi[:, c].imag.ravel()
+    _write_table(args.out, spec, columns, report)
     for line in report:
         print(line)
     return EXIT_OK
@@ -99,10 +87,13 @@ def cmd_bands(args) -> int:
 
 def cmd_spectrum(args) -> int:
     spec = load_chain_spec(args.config)
-    relax = args.relax and not args.no_relax
-    fs = finite_spectrum(spec, relax=relax)
-    _write_csv(args.out, spec, SPECTRUM_CSV_HEADER, spectrum_csv_rows(fs),
-               [f"relaxed={relax}", f"edge_modes={fs.n_edge_modes}"])
+    fs = finite_spectrum(spec, relax=args.relax)
+    rep = fs.report
+    _write_table(args.out, spec, {
+        "mode": np.arange(len(fs.frequencies)), "omega": fs.frequencies, "ipr": rep.ipr,
+        "end_decay": rep.end_decay, "edge_flag": rep.edge_flags.astype(int),
+        "nearest_band": rep.nearest_band,
+    }, [f"relaxed={args.relax}", f"edge_modes={fs.n_edge_modes}"])
     print(f"modes={len(fs.frequencies)} edge_modes={fs.n_edge_modes}")
     return EXIT_OK
 
@@ -110,8 +101,14 @@ def cmd_spectrum(args) -> int:
 def cmd_local(args) -> int:
     spec = load_chain_spec(args.config)
     model = local_phonon_model(spec, relax=args.relax)
-    _write_csv(args.out_g, spec, G_CSV_HEADER, g_csv_rows(model.g))
-    _write_csv(args.out_j, spec, J_CSV_HEADER, j_csv_rows(model.J))
+    g = model.g.transpose(0, 2, 1, 3)   # rows ordered by (n, m, i, j)
+    n, m, i, j = np.indices(g.shape).reshape(4, -1)
+    axes = np.array(["x", "y", "z"])
+    _write_table(args.out_g, spec, {"n": n, "m": m, "i": axes[i], "j": axes[j], "value": g.ravel()})
+    keys = sorted(model.J)
+    _write_table(args.out_j, spec, {"separation": [s for s, _ in keys],
+                                    "bond_class": [c for _, c in keys],
+                                    "value": [model.J[k] for k in keys]})
     return EXIT_OK
 
 
@@ -119,39 +116,36 @@ def cmd_coupling(args) -> int:
     spec = load_chain_spec(args.config)
     grid = coupling_grid(spec, q_points=args.q_points, relax=args.relax)
     count, q_star, _ = coupled_band_count(grid)
-    _write_csv(args.out, spec, COUPLING_CSV_HEADER, coupling_csv_rows(grid),
-               [f"coupled_bands={count} at q*={_fmt(q_star)}"])
+    m = grid.m_complex
+    _write_table(args.out, spec, {
+        **_q_band_columns(grid.q_grid), "re_m": m.real.ravel(), "im_m": m.imag.ravel(),
+        # |M| as a scalar complex abs() gives it; np.abs (grid.m_abs) can differ in the last bit
+        "abs_m": np.hypot(m.real, m.imag).ravel(),
+        "rho0": np.repeat(grid.rho0_values, 6), "omega": grid.omega.ravel(),
+    }, [f"coupled_bands={count} at q*={q_star!r}"])
     print(f"coupled_bands={count} bands={coupled_bands(grid)}")
     return EXIT_OK
 
 
-SWEEP_CSV_HEADER = (
-    "value,"
-    + ",".join(f"bandwidth_{j}" for j in range(1, 7)) + ","
-    + ",".join(f"concavity_{j}" for j in range(1, 7))
-    + ",n_crossings,crossing_pairs,j_intracell,j_intercell,"
-    + ",".join(f"max_m_{j}" for j in range(1, 7))
-    + ",coupled_bands"
-)
-
 _SWEPT_FIELDS = ("d", "delta", "a", "theta", "phi", "v_dd")
 
 
-def _sweep_point(spec: ChainSpec, q_points: int):
+def _sweep_point(spec: ChainSpec, q_points: int) -> dict:
+    """One sweep row: column name -> value."""
     bands = band_structure(spec, q_points=q_points)
     diag = band_diagnostics(bands)
     model = local_phonon_model(spec)
     grid = coupling_grid(spec, q_points=q_points, bands=bands)
-    pairs = ";".join(f"{a}-{b}" for a, b in diag.crossing_pairs)
-    row = list(diag.bandwidth)
-    row.extend(int(c) for c in diag.concavity)
-    row.append(len(diag.crossings))
-    row.append(pairs or "-")
-    row.append(model.J.get((1, 0), 0.0))
-    row.append(model.J.get((1, 1), 0.0))
-    row.extend(grid.m_abs.max(axis=0))
-    row.append(";".join(str(b) for b in coupled_bands(grid)) or "-")
-    return row
+    return {
+        **{f"bandwidth_{j}": w for j, w in enumerate(diag.bandwidth, 1)},
+        **{f"concavity_{j}": int(c) for j, c in enumerate(diag.concavity, 1)},
+        "n_crossings": len(diag.crossings),
+        "crossing_pairs": ";".join(f"{a}-{b}" for a, b in diag.crossing_pairs) or "-",
+        "j_intracell": model.J.get((1, 0), 0.0),
+        "j_intercell": model.J.get((1, 1), 0.0),
+        **{f"max_m_{j}": m for j, m in enumerate(grid.m_abs.max(axis=0), 1)},
+        "coupled_bands": ";".join(str(b) for b in coupled_bands(grid)) or "-",
+    }
 
 
 def cmd_sweep(args) -> int:
@@ -160,15 +154,14 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"cannot sweep parameter {args.param!r}; choose from {_SWEPT_FIELDS}")
     if args.steps < 2:
         raise ConfigError("sweep needs at least 2 steps")
-    values = np.linspace(args.from_, args.to, args.steps)
-    rows = []
-    for v in map(float, values):
+    points = []
+    for v in map(float, np.linspace(args.from_, args.to, args.steps)):
         changes = {args.param: v}
         if args.param == "d" and spec.a == 2.0 * spec.d:
             changes["a"] = 2.0 * v  # keep the a = 2 d convention while sweeping d
-        rows.append([v, *_sweep_point(spec.with_(**changes), args.q_points)])
-    _write_csv(args.out, spec, SWEEP_CSV_HEADER, rows,
-               [f"param={args.param} from={_fmt(args.from_)} to={_fmt(args.to)} steps={args.steps}"])
+        points.append({"value": v, **_sweep_point(spec.with_(**changes), args.q_points)})
+    _write_table(args.out, spec, {name: [p[name] for p in points] for name in points[0]},
+                 [f"param={args.param} from={args.from_!r} to={args.to!r} steps={args.steps}"])
     return EXIT_OK
 
 
@@ -260,12 +253,24 @@ def _int_at_least(low: int):
     return integer
 
 
-def _add_common(p, q_points=True):
+def _finite_float(low: float = -np.inf):
+    """argparse type for a finite number >= low; argparse exits with status 2 otherwise."""
+    def number(text: str) -> float:
+        value = float(text)
+        if not (np.isfinite(value) and value >= low):
+            bound = f" >= {low:g}" if np.isfinite(low) else ""
+            raise argparse.ArgumentTypeError(f"must be a finite number{bound}, got {text}")
+        return value
+    return number
+
+
+def _add_common(p, q_points=True, relax=True):
     p.add_argument("config", help="chain configuration file (JSON)")
     if q_points:
         p.add_argument("--q-points", type=_int_at_least(2), default=DEFAULT_Q_POINTS, dest="q_points")
-    p.add_argument("--relax", action="store_true",
-                   help="use relaxed equilibrium positions instead of trap centers")
+    if relax:
+        p.add_argument("--relax", action="store_true",
+                       help="use relaxed equilibrium positions instead of trap centers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="finite-chain spectrum CSV with edge flags")
     _add_common(p, q_points=False)
-    p.add_argument("--no-relax", action="store_true",
-                   help="force trap-center geometry (the default)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spectrum)
 
@@ -299,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coupling)
 
     p = sub.add_parser("sweep", help="parameter sweep of band/coupling diagnostics")
-    _add_common(p)
+    _add_common(p, relax=False)
     p.add_argument("--param", default="d")
     p.add_argument("--from", type=float, required=True, dest="from_")
     p.add_argument("--to", type=float, required=True)
@@ -309,14 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="assemble and write the model file")
     _add_common(p)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--U", type=float, required=True)
-    p.add_argument("--gcp", type=float, required=True)
+    p.add_argument("--t", type=_finite_float(), required=True)
+    p.add_argument("--U", type=_finite_float(), required=True)
+    p.add_argument("--gcp", type=_finite_float(0.0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("check", help="run the numerical self-checks")
-    _add_common(p, q_points=False)
+    _add_common(p, q_points=False, relax=False)
     p.set_defaults(func=cmd_check)
 
     return parser

@@ -10,7 +10,6 @@ module's correctness oracle: it must reproduce the normal-mode spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -119,20 +118,3 @@ def bogoliubov_frequencies(h: np.ndarray, g: np.ndarray, imag_tol: float = 1e-8)
         )
     real = np.sort(eigvals.real)
     return real[k:]
-
-
-G_CSV_HEADER = "n,m,i,j,value"
-J_CSV_HEADER = "separation,bond_class,value"
-
-_DIRS = "xyz"
-
-
-def g_csv_rows(g: np.ndarray):
-    atoms = range(g.shape[0])
-    for n, m, i, j in product(atoms, atoms, range(3), range(3)):
-        yield [n, m, _DIRS[i], _DIRS[j], g[n, i, m, j]]
-
-
-def j_csv_rows(table: dict):
-    for (s, cls) in sorted(table):
-        yield [s, cls, table[(s, cls)]]

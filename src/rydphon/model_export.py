@@ -104,8 +104,8 @@ def assemble(
     """Run the full pipeline and bundle the results."""
     if not np.isfinite(t) or not np.isfinite(U):
         raise ValueError("t and U must be finite")
-    if g_cp < 0:
-        raise ValueError("g_cp must be nonnegative")
+    if not (np.isfinite(g_cp) and g_cp >= 0):
+        raise ValueError("g_cp must be finite and nonnegative")
     bands = band_structure(spec, q_points=q_points, cutoff_cells=cutoff_cells, relax=relax)
     grid = coupling_grid(spec, q_points=q_points, bands=bands, rho_z_source=rho_z_source)
     return ExtendedHHModel(
@@ -154,14 +154,11 @@ def model_document(model: ExtendedHHModel) -> dict:
     }
 
 
-def document_text(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n"
-
-
 def serialize(model: ExtendedHHModel, path) -> None:
-    text = document_text(model_document(model))
+    """Write the model document to ``path``, streamed as the encoder produces it."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        json.dump(model_document(model), fh, sort_keys=True, indent=1, allow_nan=False)
+        fh.write("\n")
 
 
 def _at(doc: dict, path: tuple):

@@ -59,19 +59,32 @@ def test_non_finite_or_fractional_config_exits_two(tmp_path, capsys, command, te
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["bands", "--q-points", "1"],
-    ["coupling", "--q-points", "1"],
-    ["bands", "--cutoff-cells", "0", "--relax"],
-    ["bands", "--cutoff-cells", "-1"],
-])
-def test_out_of_range_integer_argument_exits_two(tmp_path, capsys, argv):
+_MODEL = ["--t", "1", "--U", "4", "--gcp", "0.5", "--out", "model.json"]
+_BAD_ARGUMENTS = [
+    (["bands", "--q-points", "1"], "must be an integer >= 2"),
+    (["coupling", "--q-points", "1"], "must be an integer >= 2"),
+    (["bands", "--cutoff-cells", "0", "--relax"], "must be an integer >= 1"),
+    (["bands", "--cutoff-cells", "-1"], "must be an integer >= 1"),
+    (["sweep", "--from", "1.9", "--to", "2.0", "--steps", "2", "--relax"],
+     "unrecognized arguments: --relax"),
+    (["check", "--relax"], "unrecognized arguments: --relax"),
+    (["spectrum", "--no-relax"], "unrecognized arguments: --no-relax"),
+    (["export", *_MODEL, "--gcp", "-1"], "argument --gcp: must be a finite number >= 0, got -1"),
+    (["export", *_MODEL, "--t", "nan"], "argument --t: must be a finite number, got nan"),
+    (["export", *_MODEL, "--U", "inf"], "argument --U: must be a finite number, got inf"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _BAD_ARGUMENTS,
+                         ids=[f"argv{k}" for k in range(len(_BAD_ARGUMENTS))])
+def test_out_of_range_integer_argument_exits_two(tmp_path, capsys, argv, message):
+    """Out-of-range numbers and options a subcommand does not take are argument errors."""
     cfg = write_config(tmp_path)
     with pytest.raises(SystemExit) as info:
-        main([argv[0], cfg, *argv[1:], "--out", str(tmp_path / "out.csv")])
+        main([argv[0], cfg, *argv[1:]])
     assert info.value.code == 2
     err = capsys.readouterr().err
-    assert "must be an integer >=" in err
+    assert message in err
     assert "Traceback" not in err
 
 
@@ -108,7 +121,7 @@ def test_spectrum_topological_edge_modes(tmp_path, capsys):
 def test_spectrum_trivial_no_edge_modes(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "spectrum.csv"
-    assert main(["spectrum", cfg, "--no-relax", "--out", str(out)]) == 0
+    assert main(["spectrum", cfg, "--out", str(out)]) == 0
     rows = data_lines(out)[1:]
     assert sum(int(r.split(",")[4]) for r in rows) == 0
 
@@ -117,7 +130,7 @@ def test_spectrum_relax_changes_frequencies(tmp_path):
     cfg = write_config(tmp_path)
     bare = tmp_path / "bare.csv"
     relaxed = tmp_path / "relaxed.csv"
-    assert main(["spectrum", cfg, "--no-relax", "--out", str(bare)]) == 0
+    assert main(["spectrum", cfg, "--out", str(bare)]) == 0
     assert main(["spectrum", cfg, "--relax", "--out", str(relaxed)]) == 0
     get = lambda p: np.array([float(r.split(",")[1]) for r in data_lines(p)[1:]])
     delta = np.abs(get(bare) - get(relaxed)).max()
@@ -143,6 +156,16 @@ def test_coupling_output(tmp_path, capsys):
     rows = data_lines(out)
     assert rows[0] == "q,band,re_m,im_m,abs_m,rho0,omega"
     assert len(rows) - 1 == 128 * 6
+
+
+def test_coupling_abs_m_is_hypot_of_its_own_columns(tmp_path):
+    """abs_m is |M| as scalar abs() gives it; np.abs differs in the last bit on this grid."""
+    cfg = write_config(tmp_path, d=2.5)
+    out = tmp_path / "m.csv"
+    assert main(["coupling", cfg, "--q-points", "64", "--relax", "--out", str(out)]) == 0
+    rows = np.array([[float(v) for v in r.split(",")] for r in data_lines(out)[1:]])
+    re_m, im_m, abs_m = rows[:, 2], rows[:, 3], rows[:, 4]
+    assert np.array_equal(abs_m, np.hypot(re_m, im_m))
 
 
 def test_sweep_columns_and_order(tmp_path):

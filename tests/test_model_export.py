@@ -8,7 +8,6 @@ from rydphon.atom_phonon import physical_coupling
 from rydphon.model_export import (
     SCHEMA_VERSION,
     _at,
-    document_text,
     model_document,
     validate_document,
 )
@@ -50,7 +49,7 @@ def test_missing_couplings_section_rejected(model, tmp_path):
     doc = model_document(model)
     del doc["couplings"]
     path = tmp_path / "broken.json"
-    path.write_text(document_text(doc))
+    path.write_text(json.dumps(doc))
     with pytest.raises(SchemaMismatchError, match="couplings"):
         deserialize(path)
 
@@ -59,7 +58,7 @@ def test_schema_version_mismatch_rejected(model, tmp_path):
     doc = model_document(model)
     doc["schema_version"] = SCHEMA_VERSION + 1
     path = tmp_path / "future.json"
-    path.write_text(document_text(doc))
+    path.write_text(json.dumps(doc))
     with pytest.raises(SchemaMismatchError, match="schema_version"):
         deserialize(path)
 
@@ -93,7 +92,7 @@ def test_missing_key_rejected(model, tmp_path, path):
         parent = parent[key]
     del parent[path[-1]]
     file = tmp_path / "broken.json"
-    file.write_text(document_text(doc))
+    file.write_text(json.dumps(doc))
     with pytest.raises(SchemaMismatchError, match=path[-1]):
         deserialize(file)
 
@@ -126,6 +125,12 @@ def test_assemble_validates_inputs():
         assemble(paper_spec(), t=np.inf, U=0.0, g_cp=1.0, q_points=8)
     with pytest.raises(ValueError):
         assemble(paper_spec(), t=0.0, U=0.0, g_cp=-1.0, q_points=8)
+
+
+@pytest.mark.parametrize("g_cp", [np.nan, np.inf])
+def test_assemble_rejects_non_finite_g_cp(g_cp):
+    with pytest.raises(ValueError, match="g_cp"):
+        assemble(paper_spec(), t=0.0, U=0.0, g_cp=g_cp, q_points=8)
 
 
 def test_document_has_named_axes(model):

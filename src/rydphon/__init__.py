@@ -46,7 +46,6 @@ from .bands import (
     detect_edge_modes,
     dynamical_matrix,
     finite_spectrum,
-    inverse_participation_ratio,
     q_grid,
     track_bands,
 )

@@ -7,6 +7,11 @@ The per-band coupling at quasimomentum q is
 in units of sqrt(hbar g_cp^2 / 2M); the modulus on the z components makes
 the value independent of eigenvector sign conventions.  Only motion along
 the chain couples: bands with no z polarization drop out.
+
+The phases always use the trap-center offsets rho_alpha^z, also for
+relaxed bands (`coupling --relax`, `export --relax`): the relaxed bulk
+shifts rho^z by 0.13 at d = 2, and letting the phases follow it would
+change those outputs.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BandStructure, DEFAULT_CUTOFF_CELLS, DEFAULT_Q_POINTS, band_structure
-from .equilibrium import relax_bulk
 from .errors import ZeroFrequencyError
 from .geometry import ChainSpec, base_offsets
 
@@ -41,17 +45,6 @@ def rho0(q, d: float):
     return out
 
 
-def base_z_offsets(spec: ChainSpec, source: str = "trap") -> np.ndarray:
-    """z offsets rho_alpha^z entering the coupling phase factors."""
-    offs = base_offsets(spec)[:, 2]
-    if source == "trap":
-        return offs
-    if source == "relaxed":
-        eq = relax_bulk(spec)
-        return offs + eq.deltas[:, 2]
-    raise ValueError(f"unknown rho_z source {source!r}")
-
-
 @dataclass(frozen=True)
 class CouplingGrid:
     q_grid: np.ndarray
@@ -60,9 +53,6 @@ class CouplingGrid:
     rho0_values: np.ndarray   # (Nq,)
     omega: np.ndarray         # (Nq, 6)
     spec: ChainSpec
-    rho_z_source: str
-    cutoff_cells: int
-    relaxed: bool
 
 
 def coupling_grid(
@@ -70,34 +60,27 @@ def coupling_grid(
     q_points: int = DEFAULT_Q_POINTS,
     bands: BandStructure | None = None,
     cutoff_cells: int = DEFAULT_CUTOFF_CELLS,
-    rho_z_source: str = "trap",
     relax: bool = False,
 ) -> CouplingGrid:
-    """Coupling table over the full grid for all six bands."""
+    """Coupling table over the full grid for all six bands, phased with the
+    trap-center offsets rho_alpha^z."""
     if bands is None:
         bands = band_structure(spec, q_points=q_points, cutoff_cells=cutoff_cells, relax=relax)
     elif len(bands.q_grid) != q_points:
         raise ValueError("band structure grid does not match q_points")
-    rho_z = base_z_offsets(spec, rho_z_source)
+    elif bands.spec != spec:
+        raise ValueError("band structure was computed for a different chain spec")
     qs, omega = bands.q_grid, bands.omega
     bad = np.flatnonzero((omega <= 0.0).any(axis=1))
     if bad.size:
         raise ZeroFrequencyError(f"zero phonon frequency at q = {qs[bad[0]]:g}")
-    phases = np.exp((-1j * qs)[:, None] * rho_z)         # (Nq, 2)
+    phases = np.exp((-1j * qs)[:, None] * base_offsets(spec)[:, 2])  # (Nq, 2)
     z_abs = np.abs(bands.xi[:, [2, 5], :])               # (Nq, 2, 6): |xi_z| per base, band
     structure = (phases[:, None, :] @ z_abs)[:, 0, :]    # (Nq, 6)
-    m = (qs * rho0(qs, spec.d))[:, None] / np.sqrt(omega) * structure
-    return CouplingGrid(
-        q_grid=bands.q_grid,
-        m_complex=m,
-        m_abs=np.abs(m),
-        rho0_values=rho0(bands.q_grid, spec.d),
-        omega=bands.omega.copy(),
-        spec=spec,
-        rho_z_source=rho_z_source,
-        cutoff_cells=bands.cutoff_cells,
-        relaxed=bands.relaxed,
-    )
+    form = rho0(qs, spec.d)
+    m = (qs * form)[:, None] / np.sqrt(omega) * structure
+    return CouplingGrid(q_grid=qs, m_complex=m, m_abs=np.abs(m), rho0_values=form,
+                        omega=omega.copy(), spec=spec)
 
 
 def coupled_band_count(grid: CouplingGrid, threshold: float = 0.05):
@@ -125,9 +108,6 @@ def coupled_bands(grid: CouplingGrid, threshold: float = 0.05) -> list:
     return [j + 1 for j in range(6) if fractions[j] >= threshold]
 
 
-def physical_coupling(grid: CouplingGrid, g_cp: float, mass: float | None = None,
-                      hbar: float = 1.0) -> np.ndarray:
-    """Apply the pseudopotential magnitude: M_phys = g_cp sqrt(hbar/2M) * M."""
-    if mass is None:
-        mass = grid.spec.mass
-    return g_cp * np.sqrt(hbar / (2.0 * mass)) * grid.m_complex
+def physical_coupling(grid: CouplingGrid, g_cp: float) -> np.ndarray:
+    """Apply the pseudopotential magnitude: M_phys = g_cp sqrt(hbar/2M) * M, hbar = 1."""
+    return g_cp * np.sqrt(1.0 / (2.0 * grid.spec.mass)) * grid.m_complex

@@ -164,16 +164,13 @@ def band_structure(
     q_points: int = DEFAULT_Q_POINTS,
     cutoff_cells: int = DEFAULT_CUTOFF_CELLS,
     relax: bool = False,
-    bulk_eq: BulkEquilibrium | None = None,
 ) -> BandStructure:
     """Diagonalize the Bloch matrix on the standard grid, with deterministic
     eigenvectors (degenerate groups re-spanned, then every column gauge-fixed).
 
-    relax=True relaxes the bulk first (or uses the provided bulk_eq).
+    relax=True relaxes the bulk first.
     """
-    if relax and bulk_eq is None:
-        bulk_eq = relax_bulk(spec, cutoff_cells=cutoff_cells)
-    deltas = bulk_eq.deltas if bulk_eq is not None else np.zeros((2, 3))
+    deltas = relax_bulk(spec, cutoff_cells=cutoff_cells).deltas if relax else np.zeros((2, 3))
     qs = q_grid(spec, q_points)
     dyn = _dynamical_matrices(qs, spec, deltas, cutoff_cells)
     lam, vec = np.linalg.eigh(dyn)
@@ -182,7 +179,7 @@ def band_structure(
         vec[k] = _respan_degenerate(lam[k], vec[k])
     return BandStructure(
         q_grid=qs, omega=omega, xi=_gauge_fix(vec), spec=spec,
-        cutoff_cells=cutoff_cells, relaxed=bulk_eq is not None,
+        cutoff_cells=cutoff_cells, relaxed=relax,
     )
 
 
@@ -238,11 +235,6 @@ class FiniteSpectrum:
 def atom_weights(modes: np.ndarray, n_atoms: int) -> np.ndarray:
     """(N, n_modes) per-atom weight of each normalized mode."""
     return (modes.reshape(n_atoms, 3, -1) ** 2).sum(axis=1)
-
-
-def inverse_participation_ratio(modes: np.ndarray, n_atoms: int) -> np.ndarray:
-    w = atom_weights(modes, n_atoms)
-    return (w**2).sum(axis=0)
 
 
 def _end_decay(weights: np.ndarray) -> np.ndarray:
@@ -391,8 +383,6 @@ def track_bands(bands: BandStructure, min_run: int = 3) -> np.ndarray:
 class BandDiagnostics:
     crossings: tuple            # ((j, j', q), ...) with tracked 1-based labels
     concavity: np.ndarray       # (6,) sign of the central-window curvature
-    concavity_coefficient: np.ndarray   # (6,) fitted quadratic coefficient
-    second_difference_q0: np.ndarray    # (6,) raw 3-point stencil at q = 0
     bandwidth: np.ndarray       # (6,) per sorted band
 
     @property
@@ -404,11 +394,11 @@ def band_diagnostics(bands: BandStructure, min_run: int = 3,
                      concavity_window: float = 0.5) -> BandDiagnostics:
     """Crossings, q=0 concavities and bandwidths.
 
-    Concavity is the quadratic coefficient of a fit over the central
-    window |q| <= concavity_window * pi/a; a plain 3-point stencil is too
-    local to capture the band-shape change of nearly flat bands and is
-    reported alongside.  A grid with fewer than 3 points in the window
-    raises ConfigError naming the smallest q_points that has 3.
+    Concavity is the sign of the quadratic coefficient of a fit over the
+    central window |q| <= concavity_window * pi/a; a plain 3-point stencil
+    is too local to capture the band-shape change of nearly flat bands.  A
+    grid with fewer than 3 points in the window raises ConfigError naming
+    the smallest q_points that has 3.
     """
     if concavity_window <= 0:
         raise ValueError("concavity_window must be positive")
@@ -420,9 +410,6 @@ def band_diagnostics(bands: BandStructure, min_run: int = 3,
     ks, pairs = np.nonzero(order[:-1] * order[1:] < 0)
     events = [(int(first[p]) + 1, int(second[p]) + 1, float(qs[k + 1]))
               for k, p in zip(ks, pairs)]
-    k0 = int(np.argmin(np.abs(qs)))
-    stencil = omega[k0 + 1] - 2.0 * omega[k0] + omega[k0 - 1] \
-        if 0 < k0 < len(qs) - 1 else np.zeros(6)
     window_edge = concavity_window * np.pi / bands.spec.a
     window = np.abs(qs) <= window_edge
     if np.count_nonzero(window) < 3:
@@ -436,7 +423,5 @@ def band_diagnostics(bands: BandStructure, min_run: int = 3,
     return BandDiagnostics(
         crossings=tuple(events),
         concavity=np.sign(coeff),
-        concavity_coefficient=coeff,
-        second_difference_q0=stencil,
         bandwidth=omega.max(axis=0) - omega.min(axis=0),
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 import numpy as np
@@ -32,7 +33,7 @@ from .bands import (
 from .errors import ConfigError, RydphonError
 from .geometry import ChainSpec, Configuration, load_chain_spec, trap_centers
 from .local_phonons import bogoliubov_frequencies, local_phonon_model
-from .model_export import CONVENTIONS, assemble, serialize, spec_digest
+from .model_export import CONVENTIONS, _open_output, assemble, serialize, spec_digest
 from .potential import fd_gradient, fd_hessian, gradient, hessian, total_energy
 
 EXIT_OK = 0
@@ -56,8 +57,7 @@ def _write_table(path, spec: ChainSpec, columns: dict, comments=()):
     cols = [np.asarray(c) for c in columns.values()]
     head = [f"rydphon {__version__}", f"config_hash={spec_digest(spec)}", _CONVENTIONS_COMMENT,
             *comments]
-    with (open(path, "w", encoding="utf-8") if path is not None
-          else contextlib.nullcontext(sys.stdout)) as fh:
+    with (_open_output(path) if path is not None else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write("".join(f"# {line}\n" for line in head) + ",".join(columns) + "\n")
         for start in range(0, len(cols[0]), _CHUNK_ROWS):
             cells = [map(str, c[start:start + _CHUNK_ROWS].tolist()) for c in cols]
@@ -325,10 +325,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args):
+    """Reject an output path whose directory is missing, or that is a directory,
+    before anything is computed."""
+    for path in filter(None, (getattr(args, name, None) for name in ("out", "out_g", "out_j"))):
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write {path}: its directory does not exist")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

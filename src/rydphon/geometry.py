@@ -1,4 +1,4 @@
-"""Zig-zag tweezer chain geometry: chain parameters, indexing and trap centers.
+"""Zig-zag tweezer chain geometry: chain parameters and trap centers.
 
 Unit system: the single dipolar length scale is set to 1 by choosing
 mass = 1, trap frequency = 1 and dipole strength 1/3 (length^5 =
@@ -132,19 +132,6 @@ def base_offsets(spec: ChainSpec) -> np.ndarray:
                      [+half_x, 0.0, -half_z]])
 
 
-def atom_index(cell: int, base: int) -> int:
-    """Flat atom index for (cell, base); bases interleave as A, B, A, B, ..."""
-    return N_BASES * cell + base
-
-
-def atom_cell(k: int) -> int:
-    return k // N_BASES
-
-
-def atom_base(k: int) -> int:
-    return k % N_BASES
-
-
 @dataclass(frozen=True)
 class Configuration:
     """Concrete 3D positions of all atoms plus relaxation metadata.
@@ -177,7 +164,8 @@ class Configuration:
 
 
 def trap_centers(spec: ChainSpec) -> Configuration:
-    """Unrelaxed configuration with every atom at its tweezer center."""
+    """Unrelaxed configuration with every atom at its tweezer center; atom
+    2 * cell + base is base A (0) or B (1) of its cell."""
     offsets = base_offsets(spec)
     cells = np.arange(spec.n_cells)
     pos = np.zeros((spec.n_atoms, 3))

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__ as _version
 from .atom_phonon import CouplingGrid, coupling_grid
 from .bands import BandStructure, DEFAULT_CUTOFF_CELLS, DEFAULT_Q_POINTS, band_structure
-from .errors import SchemaMismatchError
+from .errors import ConfigError, SchemaMismatchError
 from .geometry import ChainSpec, spec_from_dict, spec_to_dict
 
 SCHEMA_VERSION = 1
@@ -49,11 +49,11 @@ _REQUIRED_KEYS = (("provenance", "chain_spec"), *_NUMERIC_SHAPES)
 _ABSENT = object()
 
 
-def conventions_dict(cutoff_cells: int, rho_z_source: str, relaxed: bool) -> dict:
+def conventions_dict(cutoff_cells: int, relaxed: bool) -> dict:
     return {
         **CONVENTIONS,
         "cutoff_cells": cutoff_cells,
-        "rho_z_source": rho_z_source,
+        "rho_z_source": "trap",  # coupling phases always use the trap-center offsets
         "geometry": "relaxed" if relaxed else "trap-centers",
         "q_grid": "uniform-open-left-endpoint-at-pi-over-a",
     }
@@ -99,7 +99,6 @@ def assemble(
     q_points: int = DEFAULT_Q_POINTS,
     cutoff_cells: int = DEFAULT_CUTOFF_CELLS,
     relax: bool = False,
-    rho_z_source: str = "trap",
 ) -> ExtendedHHModel:
     """Run the full pipeline and bundle the results."""
     if not np.isfinite(t) or not np.isfinite(U):
@@ -107,11 +106,11 @@ def assemble(
     if not (np.isfinite(g_cp) and g_cp >= 0):
         raise ValueError("g_cp must be finite and nonnegative")
     bands = band_structure(spec, q_points=q_points, cutoff_cells=cutoff_cells, relax=relax)
-    grid = coupling_grid(spec, q_points=q_points, bands=bands, rho_z_source=rho_z_source)
+    grid = coupling_grid(spec, q_points=q_points, bands=bands)
     return ExtendedHHModel(
         spec=spec, t=float(t), U=float(U), g_cp=float(g_cp),
         bands=bands, couplings=grid,
-        conventions=conventions_dict(cutoff_cells, rho_z_source, relax),
+        conventions=conventions_dict(cutoff_cells, relax),
     )
 
 
@@ -154,9 +153,17 @@ def model_document(model: ExtendedHHModel) -> dict:
     }
 
 
+def _open_output(path):
+    """``path`` opened for writing text; an OSError becomes a ConfigError."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def serialize(model: ExtendedHHModel, path) -> None:
     """Write the model document to ``path``, streamed as the encoder produces it."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         json.dump(model_document(model), fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
 
@@ -221,19 +228,13 @@ def deserialize(path) -> ExtendedHHModel:
     xi = (
         arrays["phonons", "xi_re", "values"] + 1j * arrays["phonons", "xi_im", "values"]
     ).transpose(2, 1, 0)
-    relaxed = conv.get("geometry") == "relaxed"
     bands = BandStructure(
         q_grid=q, omega=omega, xi=xi, spec=spec,
-        cutoff_cells=int(conv["cutoff_cells"]), relaxed=relaxed,
+        cutoff_cells=int(conv["cutoff_cells"]), relaxed=conv.get("geometry") == "relaxed",
     )
     m = (arrays["couplings", "m_re", "values"] + 1j * arrays["couplings", "m_im", "values"]).T
-    grid = CouplingGrid(
-        q_grid=q, m_complex=m, m_abs=np.abs(m),
-        rho0_values=arrays["couplings", "rho0"],
-        omega=omega, spec=spec,
-        rho_z_source=conv.get("rho_z_source", "trap"),
-        cutoff_cells=int(conv["cutoff_cells"]), relaxed=relaxed,
-    )
+    grid = CouplingGrid(q_grid=q, m_complex=m, m_abs=np.abs(m),
+                        rho0_values=arrays["couplings", "rho0"], omega=omega, spec=spec)
     return ExtendedHHModel(
         spec=spec, t=float(arrays["hubbard", "t"]), U=float(arrays["hubbard", "U"]),
         g_cp=float(arrays["coupling_scale", "g_cp"]), bands=bands, couplings=grid,

@@ -13,7 +13,7 @@ from rydphon import (
     physical_coupling,
     rho0,
 )
-from rydphon.atom_phonon import base_z_offsets
+from rydphon.geometry import base_offsets
 
 from conftest import paper_spec
 
@@ -95,7 +95,7 @@ def test_flat_band_closed_form():
     # the z bands are 3 (A) and 6 (B): M = q rho0 / sqrt(nu) * e^{-iq rho_z}
     spec = paper_spec(v_dd=0.0)
     grid = coupling_grid(spec, q_points=64)
-    rho_z = base_z_offsets(spec)
+    rho_z = base_offsets(spec)[:, 2]
     for k, q in enumerate(grid.q_grid):
         expected_a = q * rho0(q, spec.d) * np.exp(-1j * q * rho_z[0])
         expected_b = q * rho0(q, spec.d) * np.exp(-1j * q * rho_z[1])
@@ -149,15 +149,6 @@ def test_coupling_continuity_between_grids():
     assert err < 1e-3
 
 
-def test_rho_z_source_option():
-    spec = paper_spec()
-    trap = base_z_offsets(spec, "trap")
-    relaxed = base_z_offsets(spec, "relaxed")
-    assert np.abs(trap - relaxed).max() > 1e-3
-    with pytest.raises(ValueError):
-        base_z_offsets(spec, "nonsense")
-
-
 def test_physical_coupling_scaler():
     grid = coupling_grid(paper_spec(), q_points=16)
     assert np.abs(physical_coupling(grid, g_cp=0.0)).max() == 0.0
@@ -188,19 +179,26 @@ def _coupling_by_loop(bands, spec, rho_z):
     return m
 
 
-@pytest.mark.parametrize("kwargs,q_points,source", [
+@pytest.mark.parametrize("kwargs,q_points,geometry", [
     ({"d": 2.0}, 64, "trap"),
     ({"d": 2.5}, 255, "relaxed"),
     ({"d": 1.5, "topology": "topological"}, 97, "trap"),
     ({"d": 2.0, "v_dd": 0.0}, 33, "trap"),
     ({"d": 1.8, "theta": 0.0, "phi": 0.3}, 128, "trap"),
 ])
-def test_coupling_grid_matches_per_row_loop(kwargs, q_points, source):
+def test_coupling_grid_matches_per_row_loop(kwargs, q_points, geometry):
+    # geometry is that of the bands; the phases use the trap-center rho_z either way
     spec = paper_spec(**kwargs)
-    bands = band_structure(spec, q_points=q_points)
-    grid = coupling_grid(spec, q_points=q_points, bands=bands, rho_z_source=source)
-    expected = _coupling_by_loop(bands, spec, base_z_offsets(spec, source))
+    bands = band_structure(spec, q_points=q_points, relax=geometry == "relaxed")
+    grid = coupling_grid(spec, q_points=q_points, bands=bands)
+    expected = _coupling_by_loop(bands, spec, base_offsets(spec)[:, 2])
     assert grid.m_complex.tobytes() == expected.tobytes()
+
+
+def test_coupling_grid_rejects_bands_of_another_spec():
+    bands = band_structure(paper_spec(d=2.0), q_points=16)
+    with pytest.raises(ValueError, match="different chain spec"):
+        coupling_grid(paper_spec(d=2.5), q_points=16, bands=bands)
 
 
 def test_zero_frequency_message_names_first_bad_q():
@@ -213,7 +211,7 @@ def test_zero_frequency_message_names_first_bad_q():
         spec=spec, cutoff_cells=bands.cutoff_cells, relaxed=False,
     )
     with pytest.raises(ZeroFrequencyError) as expected:
-        _coupling_by_loop(broken, spec, base_z_offsets(spec))
+        _coupling_by_loop(broken, spec, base_offsets(spec)[:, 2])
     with pytest.raises(ZeroFrequencyError) as raised:
         coupling_grid(spec, q_points=16, bands=broken)
     assert str(raised.value) == str(expected.value)

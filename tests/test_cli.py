@@ -215,3 +215,32 @@ def test_csv_headers_carry_hash_and_conventions(tmp_path):
     text = out.read_text()
     assert "# config_hash=" in text
     assert "# conventions:" in text
+
+
+_UNWRITABLE = {
+    "spectrum-missing-dir": (["spectrum", "--out", "{tmp}/missing/x.csv"], "its directory does not exist"),
+    "local-g-missing-dir": (["local", "--out-g", "{tmp}/missing/g.csv"], "its directory does not exist"),
+    "local-j-missing-dir": (["local", "--out-j", "{tmp}/missing/j.csv"], "its directory does not exist"),
+    "export-missing-dir": (["export", "--t", "1", "--U", "4", "--gcp", "0.5",
+                            "--out", "{tmp}/missing/m.json"], "its directory does not exist"),
+    "bands-directory": (["bands", "--out", "{tmp}"], "it is a directory"),
+    # these pass the early check and fail when the finished table is opened
+    "coupling-dangling-link": (["coupling", "--q-points", "16", "--out", "{tmp}/link.csv"],
+                               "No such file or directory"),
+    "sweep-name-too-long": (["sweep", "--q-points", "16", "--from", "1.9", "--to", "2.0",
+                             "--steps", "2", "--out", "{tmp}/" + "x" * 300 + ".csv"],
+                            "File name too long"),
+}
+
+
+@pytest.mark.parametrize("argv, message", _UNWRITABLE.values(), ids=_UNWRITABLE)
+def test_unwritable_output_exits_two(tmp_path, capsys, argv, message):
+    cfg = write_config(tmp_path)
+    (tmp_path / "link.csv").symlink_to(tmp_path / "missing" / "target.csv")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main([argv[0], cfg, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot write {tmp_path}")
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()

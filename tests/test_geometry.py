@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rydphon import ChainSpec, ConfigError, Topology, dipole_unit, magic_angle, trap_centers
-from rydphon.geometry import atom_base, atom_cell, atom_index, load_chain_spec, spec_from_dict, spec_to_dict
+from rydphon.geometry import base_offsets, load_chain_spec, spec_from_dict, spec_to_dict
 from rydphon.model_export import spec_digest
 
 from conftest import paper_spec
@@ -76,9 +76,17 @@ def test_topologies_are_mirror_images():
     assert np.array_equal(np.sort(triv[:, 2]), np.sort(topo[:, 2]))
 
 
-def test_flat_index_round_trip():
-    for k in range(14):
-        assert atom_index(atom_cell(k), atom_base(k)) == k
+def test_trap_centers_interleave_bases():
+    # atom 2 * cell + base: even rows are base A, odd rows base B, at z = cell * a + offset
+    for topology in Topology:
+        spec = paper_spec(d=1.7, topology=topology, n_cells=5)
+        pos = trap_centers(spec).positions
+        offsets = base_offsets(spec)
+        for base in range(2):
+            rows = pos[base::2]
+            assert len(rows) == spec.n_cells
+            assert np.array_equal(rows[:, :2], np.tile(offsets[base, :2], (spec.n_cells, 1)))
+            assert np.array_equal(rows[:, 2], np.arange(spec.n_cells) * spec.a + offsets[base, 2])
 
 
 def test_spec_defaults():

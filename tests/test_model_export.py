@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rydphon import SchemaMismatchError, assemble, deserialize, serialize
+from rydphon import ConfigError, SchemaMismatchError, assemble, deserialize, serialize
 from rydphon.atom_phonon import physical_coupling
 from rydphon.model_export import (
     SCHEMA_VERSION,
@@ -101,6 +101,21 @@ def test_provenance_lists_all_conventions(model):
     conv = model_document(model)["provenance"]["conventions"]
     for key in ("gauge", "pair_sum", "modulus", "cutoff_cells"):
         assert key in conv
+
+
+def test_relaxed_model_records_trap_rho_z(tmp_path):
+    model = assemble(paper_spec(), t=1.0, U=4.0, g_cp=0.5, q_points=16, relax=True)
+    assert model.conventions["geometry"] == "relaxed"
+    assert model.conventions["rho_z_source"] == "trap"
+    path = tmp_path / "model.json"
+    serialize(model, path)
+    conventions = json.loads(path.read_text())["provenance"]["conventions"]
+    assert conventions["rho_z_source"] == "trap"
+
+
+def test_serialize_maps_unopenable_path_to_config_error(model, tmp_path):
+    with pytest.raises(ConfigError, match="cannot write"):
+        serialize(model, tmp_path / "missing" / "model.json")
 
 
 def test_zero_pseudopotential_gives_zero_physical_coupling():

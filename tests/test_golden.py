@@ -62,6 +62,8 @@ def _cases() -> dict:
                                     ["bands.csv"])
     cases["coupling-relax-trivial_d25"] = (["coupling", "{cfg}", *q, "--relax", "--out", "m.csv"],
                                            ["m.csv"])
+    cases["local-relax-default"] = (["local", "{cfg}", "--relax", "--out-g", "g.csv",
+                                     "--out-j", "j.csv"], ["g.csv", "j.csv"])
     cases["export-relax-topological_d2"] = (["export", "{cfg}", *q, *model, "--relax",
                                              "--out", "model.json"], ["model.json"])
     cases["spectrum-relax-topological_n20"] = (["spectrum", "{cfg}", "--relax",

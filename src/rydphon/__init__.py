@@ -9,6 +9,7 @@ from .errors import (
     ImaginaryFrequencyError,
     MaxIterExceededError,
     NonConvergedCutoffError,
+    NonFiniteMatrixError,
     NonPositiveDiagonalError,
     RydphonError,
     SchemaMismatchError,

@@ -13,10 +13,10 @@ from itertools import permutations
 
 import numpy as np
 
-from .equilibrium import DEFAULT_CUTOFF_CELLS, BulkEquilibrium, relax_bulk, relax_finite
-from .errors import ConfigError, ImaginaryFrequencyError
+from .equilibrium import DEFAULT_CUTOFF_CELLS, BulkEquilibrium, _relax_finite, relax_bulk
+from .errors import CoincidentAtomsError, ConfigError, ImaginaryFrequencyError
 from .geometry import ChainSpec, base_offsets, trap_centers
-from .potential import _pair_hessians, hessian
+from .potential import MIN_SEPARATION, _pair_hessians, _require_finite, hessian
 
 DEFAULT_Q_POINTS = 256
 DEGENERACY_TOL = 1e-10
@@ -56,6 +56,12 @@ def _real_space_blocks(spec: ChainSpec, deltas: np.ndarray, cutoff_cells: int):
             keep = ~((cells == 0) & (a == b))
             rvec = rel[keep]
             rnorm = np.linalg.norm(rvec, axis=1)
+            if float(rnorm.min()) < MIN_SEPARATION:
+                k = int(np.argmin(rnorm))
+                raise CoincidentAtomsError(
+                    f"base {'AB'[a]} of cell 0 and base {'AB'[b]} of cell {cells[keep][k]} "
+                    f"coincide (separation {rnorm[k]:.3e})"
+                )
             s = rvec @ m_hat
             hp = _pair_hessians(rvec, rnorm, s, m_hat, spec.v_dd)
             # cross blocks are -H(r); every partner adds +H to the self block
@@ -69,7 +75,9 @@ def _dynamical_matrices(qs, spec: ChainSpec, deltas, cutoff_cells: int) -> np.nd
         raise ValueError("cutoff_cells must be >= 1")
     cells, blocks = _real_space_blocks(spec, deltas, cutoff_cells)
     phases = np.exp(1j * np.asarray(qs)[:, None] * cells[None, :] * spec.a)
-    return np.einsum("qn,nij->qij", phases, blocks)
+    dyn = np.einsum("qn,nij->qij", phases, blocks)
+    _require_finite(dyn, "Bloch matrix")
+    return dyn
 
 
 def dynamical_matrix(
@@ -293,9 +301,17 @@ def finite_spectrum(
     cutoff_cells: int = DEFAULT_CUTOFF_CELLS,
     params: EdgeDetectionParams | None = None,
 ) -> FiniteSpectrum:
-    """Normal modes of the finite chain with edge detection applied."""
-    config = relax_finite(spec) if relax else trap_centers(spec)
-    ham = hessian(config, spec) / spec.mass
+    """Normal modes of the finite chain with edge detection applied.
+
+    relax=True diagonalizes the Hessian that ``_relax_finite`` returns at the
+    relaxed positions; it is not built again, and its smallest eigenvalue
+    (``relax_finite``'s stability flag) is not computed.
+    """
+    if relax:
+        ham = _relax_finite(spec)[2]
+    else:
+        ham = hessian(trap_centers(spec), spec)
+    ham /= spec.mass
     lam, vec = np.linalg.eigh(ham)
     freqs = _freqs_from_lambda(lam, "finite_spectrum")
     bands = band_structure(spec, q_points=q_points, cutoff_cells=cutoff_cells, relax=relax)
@@ -419,7 +435,10 @@ def band_diagnostics(bands: BandStructure, min_run: int = 3,
         raise ConfigError(f"q_points={len(qs)} leaves {np.count_nonzero(window)} grid point(s) in "
                           f"|q| <= {concavity_window:g} pi/a, and the concavity fit needs 3; "
                           f"the smallest q_points that gives 3 is {n}")
-    coeff = np.array([np.polyfit(qs[window], omega[window, j], 2)[0] for j in range(6)])
+    # q in units of the power of two nearest the window edge: the scaling is
+    # exact, so the signs are those of a fit in q, which underflows when pi/a is tiny
+    x = np.ldexp(qs[window], -np.frexp(window_edge)[1])
+    coeff = np.array([np.polyfit(x, omega[window, j], 2)[0] for j in range(6)])
     return BandDiagnostics(
         crossings=tuple(events),
         concavity=np.sign(coeff),

@@ -4,7 +4,11 @@ The finite chain is relaxed in all 3N coordinates, the infinite (bulk)
 chain under the ansatz that every cell shares the per-base displacements
 (delta_A, delta_B).  Both run one descent, ``_newton_descent``: capped
 Newton steps from the analytic gradient and Hessian, each accepted once
-an Armijo backtracking search has lowered the energy.
+an Armijo backtracking search has lowered the energy.  The finite descent
+is ``_relax_finite``, which also returns the Hessian at the solution:
+``relax_finite`` takes its smallest eigenvalue, and the relaxed finite
+spectrum and local-phonon model use it as their harmonic matrix, so each
+relaxed chain's Hessian is built once.
 """
 
 from __future__ import annotations
@@ -42,16 +46,7 @@ def relax_finite(
     local minimum (kept as a flag, not an error, since squeezed chains do
     go unstable).
     """
-
-    def evaluate(x):
-        config = Configuration(x.reshape(-1, 3))
-        return (total_energy(config, spec).total,
-                lambda: (gradient(config, spec), hessian(config, spec)))
-
-    x, residual, hess, n_iter, history = _newton_descent(
-        trap_centers(spec).positions.reshape(-1).copy(), evaluate, _step_cap(spec),
-        tol, max_iter, "finite", lambda x, residual: Configuration(x.reshape(-1, 3), residual),
-    )
+    x, residual, hess, n_iter, history = _relax_finite(spec, tol, max_iter)
     min_eig = float(np.linalg.eigvalsh(hess).min())
     return Configuration(
         positions=x.reshape(-1, 3),
@@ -61,6 +56,26 @@ def relax_finite(
         min_hessian_eigenvalue=min_eig,
         n_iterations=n_iter,
         energy_history=tuple(history),
+    )
+
+
+def _relax_finite(spec: ChainSpec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
+    """The finite chain's Newton relaxation, returned as ``_newton_descent``
+    returns it: (flat positions, residual, Hessian at the solution,
+    iterations, energy history).
+
+    ``finite_spectrum`` and ``local_phonon_model`` take the Hessian from
+    here rather than building it again at the relaxed positions.
+    """
+
+    def evaluate(x):
+        config = Configuration(x.reshape(-1, 3))
+        return (total_energy(config, spec).total,
+                lambda: (gradient(config, spec), hessian(config, spec)))
+
+    return _newton_descent(
+        trap_centers(spec).positions.reshape(-1).copy(), evaluate, _step_cap(spec),
+        tol, max_iter, "finite", lambda x, residual: Configuration(x.reshape(-1, 3), residual),
     )
 
 

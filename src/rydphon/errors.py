@@ -26,6 +26,10 @@ class NonConvergedCutoffError(RydphonError):
     """Doubling the neighbor-sum cutoff moved the answer too much."""
 
 
+class NonFiniteMatrixError(RydphonError):
+    """An assembled Hessian or Bloch matrix has a NaN or infinite entry."""
+
+
 class ImaginaryFrequencyError(RydphonError):
     """A squared frequency came out negative beyond tolerance (unstable lattice)."""
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DynamicalInstabilityError, NonPositiveDiagonalError
 from .geometry import ChainSpec, trap_centers
-from .equilibrium import relax_finite
+from .equilibrium import _relax_finite
 from .potential import hessian
 
 
@@ -88,9 +88,15 @@ class LocalPhononModel:
 
 
 def local_phonon_model(spec: ChainSpec, relax: bool = False) -> LocalPhononModel:
-    """Full pipeline: harmonic matrix -> local frequencies, g, h, J."""
-    config = relax_finite(spec) if relax else trap_centers(spec)
-    harmonic = hessian(config, spec)
+    """Full pipeline: harmonic matrix -> local frequencies, g, h, J.
+
+    relax=True takes the Hessian that ``_relax_finite`` returns at the
+    relaxed positions.
+    """
+    if relax:
+        harmonic = _relax_finite(spec)[2]
+    else:
+        harmonic = hessian(trap_centers(spec), spec)
     omega = local_frequencies(harmonic, spec.mass)
     g, h = coupling_matrices(harmonic, omega, spec.mass)
     return LocalPhononModel(

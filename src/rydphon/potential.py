@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentAtomsError
+from .errors import CoincidentAtomsError, NonFiniteMatrixError
 from .geometry import ChainSpec, Configuration, trap_centers
 
 MIN_SEPARATION = 1e-9
+_PAIR_CHUNK = 4096  # pairs per _pair_hessians call in hessian
 
 
 @dataclass(frozen=True)
@@ -122,21 +123,55 @@ def gradient(config: Configuration, spec: ChainSpec) -> np.ndarray:
 
 
 def hessian(config: Configuration, spec: ChainSpec) -> np.ndarray:
-    """Analytic d2V/dR2 as a symmetric (3N, 3N) matrix."""
+    """Analytic d2V/dR2 as a symmetric (3N, 3N) matrix.
+
+    The matrix is written in place through its (N, 3, N, 3) view.  Each
+    off-diagonal block is stored once as 0 - H_pair, so an entry of +0.0
+    stays +0.0.  Each diagonal block sums its pair Hessians with np.add.at,
+    over the first atoms of all pairs and then over the second ones.  The
+    pair Hessians are computed a chunk of pairs at a time, so the formula's
+    temporaries stay small.  Raises NonFiniteMatrixError if an entry is not
+    finite (extreme spacings overflow the pair formula).
+    """
     positions = config.positions
     n = positions.shape[0]
-    blocks = np.zeros((n, n, 3, 3))
+    hess = np.zeros((3 * n, 3 * n))
     if spec.v_dd != 0.0 and n > 1:
         iu, ju, rvec, rnorm, s = _pair_geometry(positions, spec.m_hat)
-        hp = _pair_hessians(rvec, rnorm, s, spec.m_hat, spec.v_dd)
-        np.add.at(blocks, (iu, iu), hp)
-        np.add.at(blocks, (ju, ju), hp)
-        np.add.at(blocks, (iu, ju), -hp)
-        np.add.at(blocks, (ju, iu), -hp)
-    hess = blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+        hp = np.empty((len(iu), 3, 3))
+        for lo in range(0, len(iu), _PAIR_CHUNK):
+            pairs = slice(lo, lo + _PAIR_CHUNK)
+            hp[pairs] = _pair_hessians(rvec[pairs], rnorm[pairs], s[pairs],
+                                       spec.m_hat, spec.v_dd)
+        blocks = hess.reshape(n, 3, n, 3)
+        # triu_indices lists the pairs (i, j > i) row by row
+        start = 0
+        for i in range(n - 1):
+            row = hp[start:start + n - 1 - i]
+            np.subtract(0.0, row.transpose(1, 0, 2), out=blocks[i, :, i + 1:, :])
+            np.subtract(0.0, row, out=blocks[i + 1:, :, i, :])
+            start += n - 1 - i
+        # the flat (N * 9) target takes np.add.at's fast one-dimensional path
+        self_blocks = np.zeros(9 * n)
+        for atoms in (iu, ju):
+            np.add.at(self_blocks, (9 * atoms[:, None] + np.arange(9)).ravel(), hp.ravel())
+        diag = np.arange(n)
+        blocks[diag, :, diag, :] = self_blocks.reshape(n, 3, 3)
     trap_diag = np.tile(spec.mass * spec.nu_array**2, n)
     hess[np.diag_indices(3 * n)] += trap_diag
+    _require_finite(hess, "Hessian")
     return hess
+
+
+def _require_finite(matrix: np.ndarray, what: str) -> None:
+    """Raise NonFiniteMatrixError naming the first non-finite entry of matrix."""
+    bad = ~np.isfinite(matrix)
+    if bad.any():
+        where = tuple(int(k) for k in np.argwhere(bad)[0])
+        raise NonFiniteMatrixError(
+            f"{what} entry {where} is {matrix[where]}; the spacings overflow the "
+            f"dipole-dipole formula"
+        )
 
 
 def fd_gradient(config: Configuration, spec: ChainSpec, step: float = 1e-5) -> np.ndarray:

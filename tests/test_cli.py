@@ -244,3 +244,29 @@ def test_unwritable_output_exits_two(tmp_path, capsys, argv, message):
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "missing").exists()
+
+
+_EXTREME_COMMANDS = {
+    "local": ["local", "--out-g", "g.csv", "--out-j", "j.csv"],
+    "spectrum": ["spectrum", "--out", "s.csv"],
+    "spectrum-relax": ["spectrum", "--relax", "--out", "s.csv"],
+    "bands": ["bands", "--out", "b.csv"],
+    "coupling": ["coupling", "--out", "m.csv"],
+    "export": ["export", "--t", "1", "--U", "4", "--gcp", "0.5", "--out", "model.json"],
+    "check": ["check"],
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", _EXTREME_COMMANDS)
+@pytest.mark.parametrize("d", [1e200, 1e-300])
+def test_extreme_spacing_exits_one_without_output(tmp_path, monkeypatch, capsys, d, command):
+    """d = 1e200 overflows the pair formula into NaN; at d = 1e-300 the atoms coincide."""
+    cfg = write_config(tmp_path, n_cells=20, d=d)
+    monkeypatch.chdir(tmp_path)
+    argv = _EXTREME_COMMANDS[command]
+    assert main([argv[0], cfg, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.json"]

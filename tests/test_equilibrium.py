@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,20 @@ from rydphon import (
     NonConvergedCutoffError,
     Topology,
     band_structure,
+    coupling_matrices,
+    detect_edge_modes,
     dynamical_matrix,
+    finite_spectrum,
     gradient,
+    hessian,
+    local_frequencies,
+    local_phonon_model,
     relax_bulk,
     relax_finite,
     total_energy,
     trap_centers,
 )
+from rydphon.bands import _freqs_from_lambda
 from rydphon.equilibrium import _solve_bulk
 
 from conftest import paper_spec
@@ -143,3 +152,51 @@ def test_bulk_validates_arguments():
             band_structure(paper_spec(), cutoff_cells=cutoff_cells)
         with pytest.raises(ValueError):
             dynamical_matrix(0.3, paper_spec(), cutoff_cells=cutoff_cells)
+
+
+_REUSE_SPECS = {
+    f"{topology.value}-d{d}-phi{phi}": paper_spec(n_cells=8, d=d, topology=topology, phi=phi)
+    for d, topology in ((2.0, Topology.TOPOLOGICAL), (2.5, Topology.TRIVIAL))
+    for phi in (0.0, 0.3)
+}
+
+
+@pytest.mark.parametrize("case", _REUSE_SPECS)
+def test_relaxed_pipelines_match_a_rebuilt_hessian_bit_for_bit(case):
+    """finite_spectrum and local_phonon_model take the relaxation's own
+    Hessian; rebuilding it at the relaxed positions gives the same bytes."""
+    spec = _REUSE_SPECS[case]
+    harmonic = hessian(relax_finite(spec), spec)
+    lam, vec = np.linalg.eigh(harmonic / spec.mass)
+    freqs = _freqs_from_lambda(lam, "rebuilt")
+    report = detect_edge_modes(vec, freqs, band_structure(spec, relax=True).envelopes())
+    fs = finite_spectrum(spec, relax=True)
+    assert fs.frequencies.tobytes() == freqs.tobytes()
+    assert fs.modes.tobytes() == vec.tobytes()
+    for name in ("ipr", "end_decay", "nearest_band", "edge_flags"):
+        assert getattr(fs.report, name).tobytes() == getattr(report, name).tobytes(), name
+    omega = local_frequencies(harmonic, spec.mass)
+    g, h = coupling_matrices(harmonic, omega, spec.mass)
+    model = local_phonon_model(spec, relax=True)
+    assert model.omega_local.tobytes() == omega.tobytes()
+    assert model.g.tobytes() == g.tobytes()
+    assert model.h.tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize("topology", [Topology.TRIVIAL, Topology.TOPOLOGICAL])
+def test_relaxed_pipelines_build_one_hessian_per_newton_point(monkeypatch, topology):
+    spec = paper_spec(n_cells=8, topology=topology)
+    expected = relax_finite(spec).n_iterations + 1
+    calls = []
+
+    def counted(config, spec):
+        calls.append(config)
+        return hessian(config, spec)
+
+    for name in ("equilibrium", "bands", "local_phonons"):
+        monkeypatch.setattr(importlib.import_module(f"rydphon.{name}"), "hessian", counted)
+    finite_spectrum(spec, relax=True)
+    assert len(calls) == expected
+    calls.clear()
+    local_phonon_model(spec, relax=True)
+    assert len(calls) == expected

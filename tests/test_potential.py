@@ -7,6 +7,7 @@ from rydphon import (
     ChainSpec,
     CoincidentAtomsError,
     Configuration,
+    NonFiniteMatrixError,
     dipole_unit,
     fd_gradient,
     fd_hessian,
@@ -14,10 +15,11 @@ from rydphon import (
     hessian,
     magic_angle,
     pair_energy,
+    relax_finite,
     total_energy,
     trap_centers,
 )
-from rydphon.potential import _energy_components
+from rydphon.potential import _PAIR_CHUNK, _energy_components, _pair_geometry, _pair_hessians
 
 from conftest import paper_spec
 
@@ -122,6 +124,52 @@ def test_hessian_pure_traps_is_diagonal():
     h = hessian(trap_centers(spec), spec)
     expected = np.diag(np.tile(spec.mass * spec.nu_array**2, spec.n_atoms))
     assert np.array_equal(h, expected)
+
+
+def _hessian_by_add_at(config, spec):
+    """The (N, N, 3, 3) np.add.at assembly that hessian() replaced."""
+    positions = config.positions
+    n = positions.shape[0]
+    blocks = np.zeros((n, n, 3, 3))
+    if spec.v_dd != 0.0 and n > 1:
+        iu, ju, rvec, rnorm, s = _pair_geometry(positions, spec.m_hat)
+        hp = _pair_hessians(rvec, rnorm, s, spec.m_hat, spec.v_dd)
+        np.add.at(blocks, (iu, iu), hp)
+        np.add.at(blocks, (ju, ju), hp)
+        np.add.at(blocks, (iu, ju), -hp)
+        np.add.at(blocks, (ju, iu), -hp)
+    hess = blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+    hess[np.diag_indices(3 * n)] += np.tile(spec.mass * spec.nu_array**2, n)
+    return hess
+
+
+_ASSEMBLY_CASES = {
+    "one-cell": paper_spec(n_cells=1),
+    "two-cells-topological": paper_spec(n_cells=2, topology="topological"),
+    "no-dipoles": paper_spec(v_dd=0.0),
+    "phi-0.3": paper_spec(phi=0.3),
+    "anisotropic-nu": paper_spec(d=2.5, nu=(1.0, 1.3, 0.7)),
+    "relaxed": paper_spec(topology="topological"),
+    "more-pairs-than-a-chunk": paper_spec(n_cells=46, d=2.2),
+}
+
+
+@pytest.mark.parametrize("case", _ASSEMBLY_CASES)
+def test_hessian_matches_add_at_assembly_bit_for_bit(case):
+    """Compared as bytes, so a -0.0 where the reference has +0.0 fails too."""
+    spec = _ASSEMBLY_CASES[case]
+    cfg = relax_finite(spec) if case == "relaxed" else trap_centers(spec)
+    if case == "more-pairs-than-a-chunk":
+        assert spec.n_atoms * (spec.n_atoms - 1) // 2 > _PAIR_CHUNK
+    assert hessian(cfg, spec).tobytes() == _hessian_by_add_at(cfg, spec).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_hessian_rejects_non_finite_entries():
+    """At d = 1e200, |r|**2 overflows and the pair formula gives inf * 0 = nan."""
+    spec = paper_spec(n_cells=3, d=1e200)
+    with pytest.raises(NonFiniteMatrixError, match="Hessian entry"):
+        hessian(trap_centers(spec), spec)
 
 
 def test_hessian_matches_central_differences(rng):

@@ -1,15 +1,20 @@
 """Property tests over generated chains: spec round trips, model-file
-idempotence and the q -> -q symmetry of the bands."""
+idempotence, the q -> -q symmetry of the bands and the CLI exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from rydphon import ChainSpec, Topology, assemble, band_structure, deserialize, serialize
+from rydphon.cli import main
 from rydphon.geometry import spec_from_dict, spec_to_dict
 from rydphon.model_export import spec_digest
 
@@ -70,3 +75,33 @@ def test_omega_even_on_mirrored_grid_points(spec, q_points):
     mirror = len(qs) - 2 - np.arange(len(qs) - 1)
     assert np.allclose(qs[mirror], -qs[:-1], rtol=0.0, atol=1e-12)
     assert np.abs(bands.omega[mirror] - bands.omega[:-1]).max() <= 1e-12
+
+
+_NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+
+
+@PROPERTY
+@given(st.floats(min_value=-300.0, max_value=300.0), st.integers(min_value=2, max_value=6),
+       topologies)
+def test_cli_exit_code_is_documented_and_outputs_are_finite(log_d, n_cells, topology):
+    """Any spacing from 1e-300 to 1e300 computes or fails with exit 1, 2 or 3;
+    a run that exits 0 writes no nan or inf."""
+    spec = ChainSpec(n_cells=n_cells, d=10.0**log_d, topology=topology)
+    runs = (["local", "--out-g", "g.csv", "--out-j", "j.csv"],
+            ["bands", "--q-points", "8", "--out", "bands.csv"],
+            ["spectrum", "--out", "spectrum.csv"])
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp, "chain.json")
+        cfg.write_text(json.dumps(spec_to_dict(spec)))
+        for command, *options in runs:
+            outputs = [Path(tmp, a) for a in options if a.endswith(".csv")]
+            argv = [command, str(cfg), *(str(Path(tmp, a)) if a.endswith(".csv") else a
+                                         for a in options)]
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code = main(argv)
+            assert code in (0, 1, 2, 3), argv
+            if code == 0:
+                for path in outputs:
+                    assert not _NON_FINITE.search(path.read_text()), (argv, path.name)

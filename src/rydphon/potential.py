@@ -151,10 +151,14 @@ def hessian(config: Configuration, spec: ChainSpec) -> np.ndarray:
             np.subtract(0.0, row.transpose(1, 0, 2), out=blocks[i, :, i + 1:, :])
             np.subtract(0.0, row, out=blocks[i + 1:, :, i, :])
             start += n - 1 - i
-        # the flat (N * 9) target takes np.add.at's fast one-dimensional path
+        # a flat (N * 9) target takes np.add.at's fast one-dimensional path;
+        # chunks of pairs, in order, keep its index arrays small
         self_blocks = np.zeros(9 * n)
         for atoms in (iu, ju):
-            np.add.at(self_blocks, (9 * atoms[:, None] + np.arange(9)).ravel(), hp.ravel())
+            for lo in range(0, len(iu), _PAIR_CHUNK):
+                pairs = slice(lo, lo + _PAIR_CHUNK)
+                np.add.at(self_blocks, (9 * atoms[pairs, None] + np.arange(9)).ravel(),
+                          hp[pairs].ravel())
         diag = np.arange(n)
         blocks[diag, :, diag, :] = self_blocks.reshape(n, 3, 3)
     trap_diag = np.tile(spec.mass * spec.nu_array**2, n)

@@ -303,15 +303,12 @@ def finite_spectrum(
 ) -> FiniteSpectrum:
     """Normal modes of the finite chain with edge detection applied.
 
-    relax=True diagonalizes the Hessian that ``_relax_finite`` returns at the
-    relaxed positions; it is not built again, and its smallest eigenvalue
-    (``relax_finite``'s stability flag) is not computed.
+    relax=True diagonalizes the Hessian that ``_relax_finite`` returns with
+    the relaxed positions, so it is not built twice, and skips the smallest
+    eigenvalue that ``relax_finite`` computes for its ``stable`` flag.
     """
-    if relax:
-        ham = _relax_finite(spec)[2]
-    else:
-        ham = hessian(trap_centers(spec), spec)
-    ham /= spec.mass
+    ham = _relax_finite(spec)[2] if relax else hessian(trap_centers(spec), spec)
+    ham /= spec.mass  # in place: ham is not shared
     lam, vec = np.linalg.eigh(ham)
     freqs = _freqs_from_lambda(lam, "finite_spectrum")
     bands = band_structure(spec, q_points=q_points, cutoff_cells=cutoff_cells, relax=relax)

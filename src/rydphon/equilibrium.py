@@ -60,12 +60,8 @@ def relax_finite(
 
 
 def _relax_finite(spec: ChainSpec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
-    """The finite chain's Newton relaxation, returned as ``_newton_descent``
-    returns it: (flat positions, residual, Hessian at the solution,
-    iterations, energy history).
-
-    ``finite_spectrum`` and ``local_phonon_model`` take the Hessian from
-    here rather than building it again at the relaxed positions.
+    """Newton relaxation of the finite chain, as ``_newton_descent`` returns
+    it: (flat positions, residual, Hessian there, iterations, energy history).
     """
 
     def evaluate(x):

@@ -90,13 +90,10 @@ class LocalPhononModel:
 def local_phonon_model(spec: ChainSpec, relax: bool = False) -> LocalPhononModel:
     """Full pipeline: harmonic matrix -> local frequencies, g, h, J.
 
-    relax=True takes the Hessian that ``_relax_finite`` returns at the
+    relax=True takes the Hessian that ``_relax_finite`` returns with the
     relaxed positions.
     """
-    if relax:
-        harmonic = _relax_finite(spec)[2]
-    else:
-        harmonic = hessian(trap_centers(spec), spec)
+    harmonic = _relax_finite(spec)[2] if relax else hessian(trap_centers(spec), spec)
     omega = local_frequencies(harmonic, spec.mass)
     g, h = coupling_matrices(harmonic, omega, spec.mass)
     return LocalPhononModel(

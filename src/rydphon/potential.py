@@ -17,7 +17,7 @@ from .errors import CoincidentAtomsError, NonFiniteMatrixError
 from .geometry import ChainSpec, Configuration, trap_centers
 
 MIN_SEPARATION = 1e-9
-_PAIR_CHUNK = 4096  # pairs per _pair_hessians call in hessian
+_PAIR_CHUNK = 4096  # pairs per step of hessian's pair loops, so temporaries stay small
 
 
 @dataclass(frozen=True)
@@ -125,13 +125,11 @@ def gradient(config: Configuration, spec: ChainSpec) -> np.ndarray:
 def hessian(config: Configuration, spec: ChainSpec) -> np.ndarray:
     """Analytic d2V/dR2 as a symmetric (3N, 3N) matrix.
 
-    The matrix is written in place through its (N, 3, N, 3) view.  Each
-    off-diagonal block is stored once as 0 - H_pair, so an entry of +0.0
-    stays +0.0.  Each diagonal block sums its pair Hessians with np.add.at,
-    over the first atoms of all pairs and then over the second ones.  The
-    pair Hessians are computed a chunk of pairs at a time, so the formula's
-    temporaries stay small.  Raises NonFiniteMatrixError if an entry is not
-    finite (extreme spacings overflow the pair formula).
+    Written in place through its (N, 3, N, 3) view: each off-diagonal block
+    once, as 0 - H_pair (which keeps +0.0 entries +0.0), and each diagonal
+    block as np.add.at sums over the pairs' first atoms, then their second
+    ones.  Raises NonFiniteMatrixError if an entry is not finite (extreme
+    spacings overflow the pair formula).
     """
     positions = config.positions
     n = positions.shape[0]

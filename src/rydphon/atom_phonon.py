@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BandStructure, DEFAULT_CUTOFF_CELLS, DEFAULT_Q_POINTS, band_structure
+from .bands import BandStructure, DEFAULT_Q_POINTS, band_structure
 from .errors import ZeroFrequencyError
 from .geometry import ChainSpec, base_offsets
 
@@ -59,13 +59,12 @@ def coupling_grid(
     spec: ChainSpec,
     q_points: int = DEFAULT_Q_POINTS,
     bands: BandStructure | None = None,
-    cutoff_cells: int = DEFAULT_CUTOFF_CELLS,
     relax: bool = False,
 ) -> CouplingGrid:
     """Coupling table over the full grid for all six bands, phased with the
     trap-center offsets rho_alpha^z."""
     if bands is None:
-        bands = band_structure(spec, q_points=q_points, cutoff_cells=cutoff_cells, relax=relax)
+        bands = band_structure(spec, q_points=q_points, relax=relax)
     elif len(bands.q_grid) != q_points:
         raise ValueError("band structure grid does not match q_points")
     elif bands.spec != spec:

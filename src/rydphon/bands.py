@@ -13,7 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .equilibrium import DEFAULT_CUTOFF_CELLS, BulkEquilibrium, _relax_finite, relax_bulk
+from .equilibrium import DEFAULT_CUTOFF_CELLS, BulkEquilibrium, relax_bulk, relax_finite
 from .errors import CoincidentAtomsError, ConfigError, ImaginaryFrequencyError
 from .geometry import ChainSpec, base_offsets, trap_centers
 from .potential import MIN_SEPARATION, _pair_hessians, _require_finite, hessian
@@ -21,6 +21,7 @@ from .potential import MIN_SEPARATION, _pair_hessians, _require_finite, hessian
 DEFAULT_Q_POINTS = 256
 DEGENERACY_TOL = 1e-10
 NEGATIVE_CLAMP = 1e-12
+_CONCAVITY_WINDOW = 0.5  # band_diagnostics fits |q| <= _CONCAVITY_WINDOW * pi/a
 
 _Z_COMPONENTS = (2, 5)  # (A, z) and (B, z) slots in the 6-component basis
 
@@ -84,15 +85,15 @@ def dynamical_matrix(
     q: float,
     spec: ChainSpec,
     bulk_eq: BulkEquilibrium | None = None,
-    cutoff_cells: int = DEFAULT_CUTOFF_CELLS,
 ) -> np.ndarray:
-    """Hermitian 6x6 Bloch matrix at quasimomentum q.
+    """Hermitian 6x6 Bloch matrix at quasimomentum q, summed over
+    DEFAULT_CUTOFF_CELLS cells each way.
 
     bulk_eq=None evaluates at the trap centers; pass a relax_bulk result
     to use the translationally relaxed geometry.
     """
     deltas = bulk_eq.deltas if bulk_eq is not None else np.zeros((2, 3))
-    return _dynamical_matrices([q], spec, deltas, cutoff_cells)[0]
+    return _dynamical_matrices([q], spec, deltas, DEFAULT_CUTOFF_CELLS)[0]
 
 
 def _gauge_fix(xi: np.ndarray) -> np.ndarray:
@@ -298,20 +299,19 @@ def finite_spectrum(
     spec: ChainSpec,
     relax: bool = False,
     q_points: int = DEFAULT_Q_POINTS,
-    cutoff_cells: int = DEFAULT_CUTOFF_CELLS,
     params: EdgeDetectionParams | None = None,
 ) -> FiniteSpectrum:
     """Normal modes of the finite chain with edge detection applied.
 
-    relax=True diagonalizes the Hessian that ``_relax_finite`` returns with
-    the relaxed positions, so it is not built twice, and skips the smallest
-    eigenvalue that ``relax_finite`` computes for its ``stable`` flag.
+    relax=True diagonalizes the Hessian that ``relax_finite`` carries with
+    the relaxed positions, so it is not built twice; the configuration's
+    ``stable`` flag is never asked for, so its eigenvalues are not computed.
     """
-    ham = _relax_finite(spec)[2] if relax else hessian(trap_centers(spec), spec)
-    ham /= spec.mass  # in place: ham is not shared
+    ham = relax_finite(spec).hessian if relax else hessian(trap_centers(spec), spec)
+    ham /= spec.mass  # in place: the configuration that carried ham is gone
     lam, vec = np.linalg.eigh(ham)
     freqs = _freqs_from_lambda(lam, "finite_spectrum")
-    bands = band_structure(spec, q_points=q_points, cutoff_cells=cutoff_cells, relax=relax)
+    bands = band_structure(spec, q_points=q_points, relax=relax)
     edges = bands.envelopes()
     report = detect_edge_modes(vec, freqs, edges, params)
     return FiniteSpectrum(
@@ -403,34 +403,32 @@ class BandDiagnostics:
         return sorted({(a, b) for a, b, _ in self.crossings})
 
 
-def band_diagnostics(bands: BandStructure, min_run: int = 3,
-                     concavity_window: float = 0.5) -> BandDiagnostics:
-    """Crossings, q=0 concavities and bandwidths.
+def band_diagnostics(bands: BandStructure) -> BandDiagnostics:
+    """Crossings (tracked with track_bands' default min_run), q=0
+    concavities and bandwidths.
 
     Concavity is the sign of the quadratic coefficient of a fit over the
-    central window |q| <= concavity_window * pi/a; a plain 3-point stencil
-    is too local to capture the band-shape change of nearly flat bands.  A
-    grid with fewer than 3 points in the window raises ConfigError naming
-    the smallest q_points that has 3.
+    central window |q| <= pi/(2a); a plain 3-point stencil is too local to
+    capture the band-shape change of nearly flat bands.  A grid with fewer
+    than 3 points in the window raises ConfigError naming the smallest
+    q_points that has 3.
     """
-    if concavity_window <= 0:
-        raise ValueError("concavity_window must be positive")
     qs = bands.q_grid
     omega = bands.omega
-    pos = track_bands(bands, min_run=min_run)
+    pos = track_bands(bands)
     first, second = np.triu_indices(6, k=1)
     order = pos[:, first] - pos[:, second]          # (Nq, pair) sign table
     ks, pairs = np.nonzero(order[:-1] * order[1:] < 0)
     events = [(int(first[p]) + 1, int(second[p]) + 1, float(qs[k + 1]))
               for k, p in zip(ks, pairs)]
-    window_edge = concavity_window * np.pi / bands.spec.a
+    window_edge = _CONCAVITY_WINDOW * np.pi / bands.spec.a
     window = np.abs(qs) <= window_edge
     if np.count_nonzero(window) < 3:
-        n = max(2, int(1.0 / concavity_window))  # coarser grids are spaced wider than the window
+        n = 2
         while np.count_nonzero(np.abs(q_grid(bands.spec, n)) <= window_edge) < 3:
             n += 1
         raise ConfigError(f"q_points={len(qs)} leaves {np.count_nonzero(window)} grid point(s) in "
-                          f"|q| <= {concavity_window:g} pi/a, and the concavity fit needs 3; "
+                          f"|q| <= {_CONCAVITY_WINDOW:g} pi/a, and the concavity fit needs 3; "
                           f"the smallest q_points that gives 3 is {n}")
     # q in units of the power of two nearest the window edge: the scaling is
     # exact, so the signs are those of a fit in q, which underflows when pi/a is tiny

@@ -69,8 +69,7 @@ def _q_band_columns(q_grid: np.ndarray) -> dict:
     return {"q": np.repeat(q_grid, 6), "band": np.tile(np.arange(1, 7), len(q_grid))}
 
 
-def cmd_bands(args) -> int:
-    spec = load_chain_spec(args.config)
+def cmd_bands(spec: ChainSpec, args) -> int:
     bands = band_structure(spec, q_points=args.q_points,
                            cutoff_cells=args.cutoff_cells, relax=args.relax)
     report = [f"crossing bands ({a},{b}) at q={q!r}" for a, b, q in band_diagnostics(bands).crossings]
@@ -85,8 +84,7 @@ def cmd_bands(args) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
-    spec = load_chain_spec(args.config)
+def cmd_spectrum(spec: ChainSpec, args) -> int:
     fs = finite_spectrum(spec, relax=args.relax)
     rep = fs.report
     _write_table(args.out, spec, {
@@ -98,8 +96,7 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def cmd_local(args) -> int:
-    spec = load_chain_spec(args.config)
+def cmd_local(spec: ChainSpec, args) -> int:
     model = local_phonon_model(spec, relax=args.relax)
     g = model.g.transpose(0, 2, 1, 3)   # rows ordered by (n, m, i, j)
     n, m, i, j = np.indices(g.shape).reshape(4, -1)
@@ -112,8 +109,7 @@ def cmd_local(args) -> int:
     return EXIT_OK
 
 
-def cmd_coupling(args) -> int:
-    spec = load_chain_spec(args.config)
+def cmd_coupling(spec: ChainSpec, args) -> int:
     grid = coupling_grid(spec, q_points=args.q_points, relax=args.relax)
     count, q_star, _ = coupled_band_count(grid)
     m = grid.m_complex
@@ -148,8 +144,7 @@ def _sweep_point(spec: ChainSpec, q_points: int) -> dict:
     }
 
 
-def cmd_sweep(args) -> int:
-    spec = load_chain_spec(args.config)
+def cmd_sweep(spec: ChainSpec, args) -> int:
     if args.param not in _SWEPT_FIELDS:
         raise ConfigError(f"cannot sweep parameter {args.param!r}; choose from {_SWEPT_FIELDS}")
     if args.steps < 2:
@@ -165,8 +160,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_export(args) -> int:
-    spec = load_chain_spec(args.config)
+def cmd_export(spec: ChainSpec, args) -> int:
     model = assemble(spec, t=args.t, U=args.U, g_cp=args.gcp,
                      q_points=args.q_points, relax=args.relax)
     serialize(model, args.out)
@@ -229,8 +223,7 @@ def _run_checks(spec: ChainSpec):
     return checks
 
 
-def cmd_check(args) -> int:
-    spec = load_chain_spec(args.config)
+def cmd_check(spec: ChainSpec, args) -> int:
     checks = _run_checks(spec)
     failed = 0
     for name, value, tol in checks:
@@ -340,7 +333,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_outputs(args)
-        return args.func(args)
+        return args.func(load_chain_spec(args.config), args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,11 +4,10 @@ The finite chain is relaxed in all 3N coordinates, the infinite (bulk)
 chain under the ansatz that every cell shares the per-base displacements
 (delta_A, delta_B).  Both run one descent, ``_newton_descent``: capped
 Newton steps from the analytic gradient and Hessian, each accepted once
-an Armijo backtracking search has lowered the energy.  The finite descent
-is ``_relax_finite``, which also returns the Hessian at the solution:
-``relax_finite`` takes its smallest eigenvalue, and the relaxed finite
-spectrum and local-phonon model use it as their harmonic matrix, so each
-relaxed chain's Hessian is built once.
+an Armijo backtracking search has lowered the energy.  ``relax_finite``
+returns the Hessian at the solution with the relaxed positions; the
+relaxed finite spectrum and local-phonon model use it as their harmonic
+matrix, so each relaxed chain's Hessian is built once.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from .potential import (
     MIN_SEPARATION,
     _pair_gradients,
     _pair_hessians,
+    _require_finite,
     gradient,
     hessian,
     total_energy,
@@ -41,27 +41,9 @@ def relax_finite(
 ) -> Configuration:
     """Relax a finite chain from the trap centers until ||dV/dR||_inf < tol.
 
-    The returned configuration carries the smallest Hessian eigenvalue at
-    the solution; ``stable`` is False when the stationary point is not a
-    local minimum (kept as a flag, not an error, since squeezed chains do
-    go unstable).
-    """
-    x, residual, hess, n_iter, history = _relax_finite(spec, tol, max_iter)
-    min_eig = float(np.linalg.eigvalsh(hess).min())
-    return Configuration(
-        positions=x.reshape(-1, 3),
-        residual_inf_norm=residual,
-        relaxed=True,
-        stable=min_eig > 0.0,
-        min_hessian_eigenvalue=min_eig,
-        n_iterations=n_iter,
-        energy_history=tuple(history),
-    )
-
-
-def _relax_finite(spec: ChainSpec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
-    """Newton relaxation of the finite chain, as ``_newton_descent`` returns
-    it: (flat positions, residual, Hessian there, iterations, energy history).
+    The returned configuration carries the Hessian at the solution; its
+    ``stable`` flag and ``min_hessian_eigenvalue`` are computed from it on
+    first use.
     """
 
     def evaluate(x):
@@ -69,17 +51,20 @@ def _relax_finite(spec: ChainSpec, tol: float = DEFAULT_TOL, max_iter: int = DEF
         return (total_energy(config, spec).total,
                 lambda: (gradient(config, spec), hessian(config, spec)))
 
-    return _newton_descent(
+    x, residual, hess, n_iter, history = _newton_descent(
         trap_centers(spec).positions.reshape(-1).copy(), evaluate, _step_cap(spec),
         tol, max_iter, "finite", lambda x, residual: Configuration(x.reshape(-1, 3), residual),
     )
+    return Configuration(x.reshape(-1, 3), residual, relaxed=True, n_iterations=n_iter,
+                         energy_history=tuple(history), hessian=hess)
 
 
 def _newton_descent(x, evaluate, cap, tol, max_iter, what, iterate):
     """Capped Newton descent with Armijo backtracking on the flat vector x.
 
     evaluate(x) returns (energy, derivatives); derivatives() gives the
-    (gradient, Hessian) at x and is called only at accepted points.  Returns
+    (gradient, Hessian) at x and is called only at accepted points, where
+    a non-finite gradient raises NonFiniteMatrixError.  Returns
     (x, residual, Hessian at x, iterations, energy history) once
     ||gradient||_inf < tol; a failure's last_iterate is iterate(x, residual).
     """
@@ -87,6 +72,7 @@ def _newton_descent(x, evaluate, cap, tol, max_iter, what, iterate):
         raise ValueError("tol must be positive")
     energy, derivatives = evaluate(x)
     grad, hess = derivatives()
+    _require_finite(grad, f"{what} gradient")
     history = [energy]
     residual = float(np.abs(grad).max())
     n_iter = 0
@@ -119,6 +105,7 @@ def _newton_descent(x, evaluate, cap, tol, max_iter, what, iterate):
         x, energy = trial, e_new
         history.append(energy)
         grad, hess = derivatives()
+        _require_finite(grad, f"{what} gradient")
         residual = float(np.abs(grad).max())
         n_iter += 1
     return x, residual, hess, n_iter, history

@@ -27,7 +27,7 @@ class NonConvergedCutoffError(RydphonError):
 
 
 class NonFiniteMatrixError(RydphonError):
-    """An assembled Hessian or Bloch matrix has a NaN or infinite entry."""
+    """A gradient, an assembled Hessian or a Bloch matrix has a NaN or infinite entry."""
 
 
 class ImaginaryFrequencyError(RydphonError):

@@ -14,6 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +82,12 @@ class ChainSpec:
             object.__setattr__(self, "a", 2.0 * _plain_number("d", self.d))
         for name in _NUMBER_FIELDS:
             object.__setattr__(self, name, _plain_number(name, getattr(self, name)))
-        object.__setattr__(self, "topology", Topology(self.topology))
+        try:
+            object.__setattr__(self, "topology", Topology(str.lower(self.topology)))
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"topology must be 'trivial' or 'topological', got {self.topology!r}"
+            ) from None
         nu = self.nu.tolist() if isinstance(self.nu, np.ndarray) else self.nu
         if not isinstance(nu, (tuple, list)):
             nu = (nu,) * 3
@@ -138,17 +144,17 @@ class Configuration:
 
     ``residual_inf_norm`` is the force residual at these positions when
     it has been evaluated (always set by the relaxation solver) and None
-    for raw configurations.  ``stable`` / ``min_hessian_eigenvalue`` are
-    likewise filled in by the solver.
+    for raw configurations.  ``hessian`` is the (3N, 3N) Hessian at these
+    positions, likewise set by the solver; ``min_hessian_eigenvalue`` and
+    ``stable`` are computed from it on first use, and are None without it.
     """
 
     positions: np.ndarray  # (N, 3)
     residual_inf_norm: float | None = None
     relaxed: bool = False
-    stable: bool | None = None
-    min_hessian_eigenvalue: float | None = None
     n_iterations: int = 0
     energy_history: tuple[float, ...] = ()
+    hessian: np.ndarray | None = None  # (3N, 3N)
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -161,6 +167,18 @@ class Configuration:
     @property
     def n_atoms(self) -> int:
         return self.positions.shape[0]
+
+    @cached_property
+    def min_hessian_eigenvalue(self) -> float | None:
+        hess = self.hessian
+        return None if hess is None else float(np.linalg.eigvalsh(hess).min())
+
+    @property
+    def stable(self) -> bool | None:
+        """Whether the positions are a local minimum: False at a saddle, which
+        squeezed chains do reach (a flag, not an error)."""
+        eig = self.min_hessian_eigenvalue
+        return None if eig is None else eig > 0.0
 
 
 def trap_centers(spec: ChainSpec) -> Configuration:
@@ -199,18 +217,9 @@ def spec_from_dict(data: dict) -> ChainSpec:
         if theta.lower() != "magic":
             raise ConfigError(f"theta must be a number or 'magic', got {theta!r}")
         kwargs["theta"] = magic_angle()
-    if "topology" in kwargs:
-        try:
-            kwargs["topology"] = Topology(str(kwargs["topology"]).lower())
-        except ValueError:
-            raise ConfigError(
-                f"topology must be 'trivial' or 'topological', got {kwargs['topology']!r}"
-            ) from None
     for key in ("n_cells", "d"):
         if key not in kwargs:
             raise ConfigError(f"missing required configuration key: {key}")
-    if "nu" in kwargs and isinstance(kwargs["nu"], (list, tuple)):
-        kwargs["nu"] = tuple(kwargs["nu"])
     try:
         return ChainSpec(**kwargs)
     except TypeError as exc:

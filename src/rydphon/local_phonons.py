@@ -15,8 +15,10 @@ import numpy as np
 
 from .errors import DynamicalInstabilityError, NonPositiveDiagonalError
 from .geometry import ChainSpec, trap_centers
-from .equilibrium import _relax_finite
+from .equilibrium import relax_finite
 from .potential import hessian
+
+_IMAG_TOL = 1e-8
 
 
 def local_frequencies(harmonic: np.ndarray, mass: float) -> np.ndarray:
@@ -90,10 +92,10 @@ class LocalPhononModel:
 def local_phonon_model(spec: ChainSpec, relax: bool = False) -> LocalPhononModel:
     """Full pipeline: harmonic matrix -> local frequencies, g, h, J.
 
-    relax=True takes the Hessian that ``_relax_finite`` returns with the
+    relax=True takes the Hessian that ``relax_finite`` carries with the
     relaxed positions.
     """
-    harmonic = _relax_finite(spec)[2] if relax else hessian(trap_centers(spec), spec)
+    harmonic = relax_finite(spec).hessian if relax else hessian(trap_centers(spec), spec)
     omega = local_frequencies(harmonic, spec.mass)
     g, h = coupling_matrices(harmonic, omega, spec.mass)
     return LocalPhononModel(
@@ -101,12 +103,13 @@ def local_phonon_model(spec: ChainSpec, relax: bool = False) -> LocalPhononModel
     )
 
 
-def bogoliubov_frequencies(h: np.ndarray, g: np.ndarray, imag_tol: float = 1e-8) -> np.ndarray:
+def bogoliubov_frequencies(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Eigenfrequencies of H = (1/2) Sum [h (b*b + b b*) + g (bb + b*b*)].
 
     Solves the paraunitary eigenproblem of [[h, g], [-g, -h]] and returns
-    the 3N nonnegative eigenvalues sorted ascending.  Non-real eigenvalues
-    signal an unstable quadratic form.
+    the 3N nonnegative eigenvalues sorted ascending.  Eigenvalues with an
+    imaginary part above _IMAG_TOL times the spectrum's scale signal an
+    unstable quadratic form and raise DynamicalInstabilityError.
     """
     h2 = h.reshape(h.shape[0] * h.shape[1], -1) if h.ndim == 4 else np.asarray(h)
     g2 = g.reshape(g.shape[0] * g.shape[1], -1) if g.ndim == 4 else np.asarray(g)
@@ -114,7 +117,7 @@ def bogoliubov_frequencies(h: np.ndarray, g: np.ndarray, imag_tol: float = 1e-8)
     block = np.block([[h2, g2], [-g2, -h2]])
     eigvals = np.linalg.eigvals(block)
     scale = max(1.0, float(np.abs(eigvals).max()))
-    if float(np.abs(eigvals.imag).max()) > imag_tol * scale:
+    if float(np.abs(eigvals.imag).max()) > _IMAG_TOL * scale:
         raise DynamicalInstabilityError(
             f"paraunitary eigenvalues are not real "
             f"(max imaginary part {np.abs(eigvals.imag).max():.3e})"

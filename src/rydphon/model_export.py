@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .atom_phonon import CouplingGrid, coupling_grid
-from .bands import BandStructure, DEFAULT_CUTOFF_CELLS, DEFAULT_Q_POINTS, band_structure
+from .bands import BandStructure, DEFAULT_Q_POINTS, band_structure
 from .errors import ConfigError, SchemaMismatchError
 from .geometry import ChainSpec, spec_from_dict, spec_to_dict
 
@@ -97,7 +97,6 @@ def assemble(
     U: float,
     g_cp: float,
     q_points: int = DEFAULT_Q_POINTS,
-    cutoff_cells: int = DEFAULT_CUTOFF_CELLS,
     relax: bool = False,
 ) -> ExtendedHHModel:
     """Run the full pipeline and bundle the results."""
@@ -105,12 +104,12 @@ def assemble(
         raise ValueError("t and U must be finite")
     if not (np.isfinite(g_cp) and g_cp >= 0):
         raise ValueError("g_cp must be finite and nonnegative")
-    bands = band_structure(spec, q_points=q_points, cutoff_cells=cutoff_cells, relax=relax)
+    bands = band_structure(spec, q_points=q_points, relax=relax)
     grid = coupling_grid(spec, q_points=q_points, bands=bands)
     return ExtendedHHModel(
         spec=spec, t=float(t), U=float(U), g_cp=float(g_cp),
         bands=bands, couplings=grid,
-        conventions=conventions_dict(cutoff_cells, relax),
+        conventions=conventions_dict(bands.cutoff_cells, relax),
     )
 
 

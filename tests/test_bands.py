@@ -196,8 +196,6 @@ def test_concavity_fit_needs_three_points_in_window(q_points):
     bands = band_structure(paper_spec(), q_points=q_points)
     with pytest.raises(ConfigError, match="smallest q_points that gives 3 is 4"):
         band_diagnostics(bands)
-    with pytest.raises(ValueError):
-        band_diagnostics(bands, concavity_window=0.0)
     assert band_diagnostics(band_structure(paper_spec(), q_points=4)).concavity.shape == (6,)
 
 

@@ -1,4 +1,5 @@
 import importlib
+import sys
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from rydphon import (
     ChainSpec,
     MaxIterExceededError,
     NonConvergedCutoffError,
+    NonFiniteMatrixError,
     Topology,
     band_structure,
     coupling_matrices,
     detect_edge_modes,
-    dynamical_matrix,
     finite_spectrum,
     gradient,
     hessian,
@@ -76,6 +77,29 @@ def test_unstable_equilibrium_is_flagged_not_raised():
     assert cfg.residual_inf_norm < 1e-10
     assert cfg.stable is False
     assert cfg.min_hessian_eigenvalue < 0.0
+
+
+@pytest.mark.parametrize("spec", [paper_spec(), ChainSpec(n_cells=4, d=2.0, nu=(1.0, 0.1, 1.0))],
+                         ids=["stable", "soft-y"])
+def test_stability_is_computed_from_the_carried_hessian(spec):
+    cfg = relax_finite(spec)
+    smallest = float(np.linalg.eigvalsh(hessian(cfg, spec)).min())
+    assert cfg.min_hessian_eigenvalue == smallest
+    assert cfg.stable is (smallest > 0.0)
+
+
+def test_trap_centers_carry_no_stability():
+    cfg = trap_centers(paper_spec())
+    assert cfg.hessian is None
+    assert cfg.stable is None and cfg.min_hessian_eigenvalue is None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("relax", [relax_finite, relax_bulk])
+def test_non_finite_gradient_is_not_convergence(relax):
+    """At d = 1e200 the pair formula gives nan, whose residual is below no tol."""
+    with pytest.raises(NonFiniteMatrixError):
+        relax(ChainSpec(n_cells=4, d=1e200))
 
 
 def test_relaxed_chain_keeps_mirror_inversion_symmetry():
@@ -150,8 +174,6 @@ def test_bulk_validates_arguments():
             relax_bulk(paper_spec(), cutoff_cells=cutoff_cells)
         with pytest.raises(ValueError):
             band_structure(paper_spec(), cutoff_cells=cutoff_cells)
-        with pytest.raises(ValueError):
-            dynamical_matrix(0.3, paper_spec(), cutoff_cells=cutoff_cells)
 
 
 _REUSE_SPECS = {
@@ -200,3 +222,27 @@ def test_relaxed_pipelines_build_one_hessian_per_newton_point(monkeypatch, topol
     calls.clear()
     local_phonon_model(spec, relax=True)
     assert len(calls) == expected
+
+
+def _no_eigvalsh(*args, **kwargs):
+    raise AssertionError("eigvalsh ran on a relaxed pipeline")
+
+
+@pytest.mark.parametrize("topology", [Topology.TRIVIAL, Topology.TOPOLOGICAL])
+def test_relaxed_pipelines_relax_once_and_skip_eigvalsh(monkeypatch, topology):
+    spec = paper_spec(n_cells=8, topology=topology)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return relax_finite(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "rydphon" or name.startswith("rydphon.")) \
+                and getattr(module, "relax_finite", None) is relax_finite:
+            monkeypatch.setattr(module, "relax_finite", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
+    finite_spectrum(spec, relax=True)
+    assert len(calls) == 1
+    local_phonon_model(spec, relax=True)
+    assert len(calls) == 2

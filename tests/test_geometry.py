@@ -122,10 +122,18 @@ def test_spec_defaults():
     {"n_cells": 2, "d": 2.0, "nu": "abc"},
     {"n_cells": 2, "d": 2.0, "nu": (1.0, "2", 1.0)},
     {"n_cells": 2, "d": 2.0, "nu": [[1.0, 2.0], [3.0]]},
+    *({"n_cells": 2, "d": 2.0, "topology": value} for value in ("bogus", "", None, 1)),
 ])
 def test_spec_validation(bad):
     with pytest.raises(ConfigError):
         ChainSpec(**bad)
+
+
+def test_spec_topology_is_case_insensitive():
+    spec = ChainSpec(n_cells=2, d=2.0, topology="TOPOLOGICAL")
+    assert spec.topology is Topology.TOPOLOGICAL
+    assert spec == spec_from_dict({"n_cells": 2, "d": 2.0, "topology": "Topological"})
+    assert spec_digest(spec) == spec_digest(ChainSpec(n_cells=2, d=2.0, topology="topological"))
 
 
 def test_spec_accepts_numpy_integer_n_cells():

@@ -1,5 +1,6 @@
 """Property tests over generated chains: spec round trips, model-file
-idempotence, the q -> -q symmetry of the bands and the CLI exit codes."""
+idempotence, the q -> -q symmetry of the bands, their agreement on the
+q points two grids share, and the CLI exit codes."""
 
 import contextlib
 import io
@@ -75,6 +76,20 @@ def test_omega_even_on_mirrored_grid_points(spec, q_points):
     mirror = len(qs) - 2 - np.arange(len(qs) - 1)
     assert np.allclose(qs[mirror], -qs[:-1], rtol=0.0, atol=1e-12)
     assert np.abs(bands.omega[mirror] - bands.omega[:-1]).max() <= 1e-12
+
+
+@PROPERTY
+@given(st.integers(min_value=2, max_value=300), st.floats(min_value=1.46, max_value=3.0),
+       topologies)
+def test_bands_agree_where_two_grids_share_a_q_point(q_points, d, topology):
+    # below d = 1.4543 the trap-center lattice is unstable at q = pi/a
+    spec = ChainSpec(n_cells=7, d=d, topology=topology)
+    coarse = band_structure(spec, q_points=q_points)
+    fine = band_structure(spec, q_points=2 * q_points)
+    # point k of the n-point grid is point 2k + 1 of the 2n-point grid
+    assert np.array_equal(fine.q_grid[1::2], coarse.q_grid)
+    assert np.abs(fine.omega[1::2] - coarse.omega).max() <= 1e-12
+    assert np.abs(np.abs(fine.xi[1::2]) - np.abs(coarse.xi)).max() <= 1e-12
 
 
 _NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)

@@ -8,10 +8,10 @@ in units of sqrt(hbar g_cp^2 / 2M); the modulus on the z components makes
 the value independent of eigenvector sign conventions.  Only motion along
 the chain couples: bands with no z polarization drop out.
 
-The phases always use the trap-center offsets rho_alpha^z, also for
-relaxed bands (`coupling --relax`, `export --relax`): the relaxed bulk
-shifts rho^z by 0.13 at d = 2, and letting the phases follow it would
-change those outputs.
+It is built from one band structure: its q grid, omega, xi and spec.  The
+phases always use the trap-center rho_alpha^z, also for relaxed bands
+(`coupling --relax`, `export --relax`): the relaxed bulk shifts rho^z by
+0.13 at d = 2, and letting the phases follow it would change those outputs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BandStructure, DEFAULT_Q_POINTS, band_structure
+# band_structure is not called here, but stays bound: perfbench/test_perfbench.py
+# asserts that the span recorder rebinds it in this namespace too
+from .bands import _Z_COMPONENTS, BandStructure, band_structure
 from .errors import ZeroFrequencyError
 from .geometry import ChainSpec, base_offsets
 
@@ -55,31 +57,20 @@ class CouplingGrid:
     spec: ChainSpec
 
 
-def coupling_grid(
-    spec: ChainSpec,
-    q_points: int = DEFAULT_Q_POINTS,
-    bands: BandStructure | None = None,
-    relax: bool = False,
-) -> CouplingGrid:
-    """Coupling table over the full grid for all six bands, phased with the
-    trap-center offsets rho_alpha^z."""
-    if bands is None:
-        bands = band_structure(spec, q_points=q_points, relax=relax)
-    elif len(bands.q_grid) != q_points:
-        raise ValueError("band structure grid does not match q_points")
-    elif bands.spec != spec:
-        raise ValueError("band structure was computed for a different chain spec")
-    qs, omega = bands.q_grid, bands.omega
+def coupling_grid(bands: BandStructure) -> CouplingGrid:
+    """Coupling table of all six bands of ``bands`` on its q grid, phased with
+    the trap-center rho_alpha^z; q_grid, omega and spec are the bands' own."""
+    qs, omega, spec = bands.q_grid, bands.omega, bands.spec
     bad = np.flatnonzero((omega <= 0.0).any(axis=1))
     if bad.size:
         raise ZeroFrequencyError(f"zero phonon frequency at q = {qs[bad[0]]:g}")
     phases = np.exp((-1j * qs)[:, None] * base_offsets(spec)[:, 2])  # (Nq, 2)
-    z_abs = np.abs(bands.xi[:, [2, 5], :])               # (Nq, 2, 6): |xi_z| per base, band
+    z_abs = np.abs(bands.xi[:, _Z_COMPONENTS, :])        # (Nq, 2, 6): |xi_z| per base, band
     structure = (phases[:, None, :] @ z_abs)[:, 0, :]    # (Nq, 6)
     form = rho0(qs, spec.d)
     m = (qs * form)[:, None] / np.sqrt(omega) * structure
     return CouplingGrid(q_grid=qs, m_complex=m, m_abs=np.abs(m), rho0_values=form,
-                        omega=omega.copy(), spec=spec)
+                        omega=omega, spec=spec)
 
 
 def coupled_band_count(grid: CouplingGrid, threshold: float = 0.05):

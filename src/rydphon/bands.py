@@ -345,26 +345,23 @@ def _suppress_touches(pos: np.ndarray, min_run: int) -> np.ndarray:
     """Undo order flips that revert within min_run grid points.
 
     Degenerate touch points (e.g. the exact q=0 degeneracies) otherwise
-    register as spurious double crossings.
+    register as spurious double crossings.  Pair by pair, in triu order, each
+    run of one order sign shorter than min_run that touches neither grid end
+    is swapped back, until a pass over the pairs changes nothing.
     """
     pos = pos.copy()
-    n_q = pos.shape[0]
     changed = True
     while changed:
         changed = False
-        for a in range(6):
-            for b in range(a + 1, 6):
-                sign = np.sign(pos[:, a] - pos[:, b])
-                k = 0
-                while k < n_q:
-                    k2 = k
-                    while k2 + 1 < n_q and sign[k2 + 1] == sign[k]:
-                        k2 += 1
-                    if 0 < k and k2 < n_q - 1 and (k2 - k + 1) < min_run:
-                        pos[k:k2 + 1, [a, b]] = pos[k:k2 + 1, [b, a]]
-                        sign[k:k2 + 1] = -sign[k:k2 + 1]
-                        changed = True
-                    k = k2 + 1
+        for a, b in zip(*np.triu_indices(6, k=1)):
+            sign = pos[:, a] > pos[:, b]
+            lengths = np.diff([0, *np.flatnonzero(sign[1:] != sign[:-1]) + 1, len(sign)])
+            short = lengths < min_run
+            short[[0, -1]] = False  # the runs at the grid ends stay
+            flip = np.repeat(short, lengths)
+            if flip.any():
+                pos[flip, a], pos[flip, b] = pos[flip, b], pos[flip, a]
+                changed = True
     return pos
 
 

@@ -15,7 +15,6 @@ or to stdout, so no output's whole text is held in memory.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 
@@ -57,7 +56,7 @@ def _write_table(path, spec: ChainSpec, columns: dict, comments=()):
     cols = [np.asarray(c) for c in columns.values()]
     head = [f"rydphon {__version__}", f"config_hash={spec_digest(spec)}", _CONVENTIONS_COMMENT,
             *comments]
-    with (_open_output(path) if path is not None else contextlib.nullcontext(sys.stdout)) as fh:
+    with _open_output(path) as fh:
         fh.write("".join(f"# {line}\n" for line in head) + ",".join(columns) + "\n")
         for start in range(0, len(cols[0]), _CHUNK_ROWS):
             cells = [map(str, c[start:start + _CHUNK_ROWS].tolist()) for c in cols]
@@ -110,7 +109,7 @@ def cmd_local(spec: ChainSpec, args) -> int:
 
 
 def cmd_coupling(spec: ChainSpec, args) -> int:
-    grid = coupling_grid(spec, q_points=args.q_points, relax=args.relax)
+    grid = coupling_grid(band_structure(spec, q_points=args.q_points, relax=args.relax))
     count, q_star, _ = coupled_band_count(grid)
     m = grid.m_complex
     _write_table(args.out, spec, {
@@ -131,7 +130,7 @@ def _sweep_point(spec: ChainSpec, q_points: int) -> dict:
     bands = band_structure(spec, q_points=q_points)
     diag = band_diagnostics(bands)
     model = local_phonon_model(spec)
-    grid = coupling_grid(spec, q_points=q_points, bands=bands)
+    grid = coupling_grid(bands)
     return {
         **{f"bandwidth_{j}": w for j, w in enumerate(diag.bandwidth, 1)},
         **{f"concavity_{j}": int(c) for j, c in enumerate(diag.concavity, 1)},
@@ -213,7 +212,7 @@ def _run_checks(spec: ChainSpec):
     checks.append(("rho0-at-zero", abs(rho0(0.0, spec.d) - 1.0), 1e-10))
     checks.append(("rho0-at-pole", abs(rho0(2.0 * np.pi / spec.d, spec.d) - 0.5), 1e-8))
 
-    grid = coupling_grid(spec, bands=bands, q_points=len(bands.q_grid))
+    grid = coupling_grid(bands)
     k0 = int(np.argmin(np.abs(bands.q_grid)))
     checks.append(("coupling-vanishes-at-q0", float(grid.m_abs[k0].max()), 0.0))
 
@@ -333,7 +332,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_outputs(args)
-        return args.func(load_chain_spec(args.config), args)
+        with _open_output(None):  # the tables and summary lines that go to stdout
+            return args.func(load_chain_spec(args.config), args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -151,9 +151,9 @@ class BulkEquilibrium:
 def _bulk_partner_table(spec: ChainSpec, cutoff_cells: int):
     """Partner offsets seen by each reference base atom, before displacements.
 
-    For base alpha, row r of table[alpha] is (partner position - cell-0
-    base position) at zero displacement, and sign[alpha][r] picks how the
-    pair vector responds to (delta_alpha - delta_beta): same-sublattice
+    Returns one pair (rel, beta_of) per base alpha: row r of rel is the
+    partner's position minus the cell-0 base-alpha one at zero displacement,
+    and beta_of[r] the partner's base, whose delta moves it; same-sublattice
     partners do not move relative to the reference atom.
     """
     offs = base_offsets(spec)

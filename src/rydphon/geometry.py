@@ -226,13 +226,17 @@ def spec_from_dict(data: dict) -> ChainSpec:
         raise ConfigError(str(exc)) from None
 
 
-def load_chain_spec(path) -> ChainSpec:
-    """Read a ChainSpec from a JSON configuration file."""
+def _read_json(path, what: str, invalid=ConfigError):
+    """The JSON document at ``path``: ConfigError if unreadable, ``invalid`` if not UTF-8 JSON."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read configuration file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"configuration file {path} is not valid JSON: {exc}") from None
-    return spec_from_dict(data)
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise invalid(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def load_chain_spec(path) -> ChainSpec:
+    """Read a ChainSpec from a JSON configuration file."""
+    return spec_from_dict(_read_json(path, "configuration file"))

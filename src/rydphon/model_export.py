@@ -9,8 +9,11 @@ runs produce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +22,7 @@ from . import __version__ as _version
 from .atom_phonon import CouplingGrid, coupling_grid
 from .bands import BandStructure, DEFAULT_Q_POINTS, band_structure
 from .errors import ConfigError, SchemaMismatchError
-from .geometry import ChainSpec, spec_from_dict, spec_to_dict
+from .geometry import ChainSpec, _read_json, spec_from_dict, spec_to_dict
 
 SCHEMA_VERSION = 1
 
@@ -77,18 +80,10 @@ class ExtendedHHModel:
     def __eq__(self, other):
         if not isinstance(other, ExtendedHHModel):
             return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.t == other.t
-            and self.U == other.U
-            and self.g_cp == other.g_cp
-            and self.conventions == other.conventions
-            and np.array_equal(self.bands.q_grid, other.bands.q_grid)
-            and np.array_equal(self.bands.omega, other.bands.omega)
-            and np.array_equal(self.bands.xi, other.bands.xi)
-            and np.array_equal(self.couplings.m_complex, other.couplings.m_complex)
-            and np.array_equal(self.couplings.rho0_values, other.couplings.rho0_values)
-        )
+        scalars = [(m.spec, m.t, m.U, m.g_cp, m.conventions) for m in (self, other)]
+        arrays = [(m.bands.q_grid, m.bands.omega, m.bands.xi, m.couplings.m_complex,
+                   m.couplings.rho0_values) for m in (self, other)]
+        return scalars[0] == scalars[1] and all(map(np.array_equal, *arrays))
 
 
 def assemble(
@@ -99,17 +94,16 @@ def assemble(
     q_points: int = DEFAULT_Q_POINTS,
     relax: bool = False,
 ) -> ExtendedHHModel:
-    """Run the full pipeline and bundle the results."""
+    """Run the full pipeline and bundle the results, all from one band structure."""
     if not np.isfinite(t) or not np.isfinite(U):
         raise ValueError("t and U must be finite")
     if not (np.isfinite(g_cp) and g_cp >= 0):
         raise ValueError("g_cp must be finite and nonnegative")
     bands = band_structure(spec, q_points=q_points, relax=relax)
-    grid = coupling_grid(spec, q_points=q_points, bands=bands)
     return ExtendedHHModel(
         spec=spec, t=float(t), U=float(U), g_cp=float(g_cp),
-        bands=bands, couplings=grid,
-        conventions=conventions_dict(bands.cutoff_cells, relax),
+        bands=bands, couplings=coupling_grid(bands),
+        conventions=conventions_dict(bands.cutoff_cells, bands.relaxed),
     )
 
 
@@ -152,11 +146,20 @@ def model_document(model: ExtendedHHModel) -> dict:
     }
 
 
+@contextlib.contextmanager
 def _open_output(path):
-    """``path`` opened for writing text; an OSError becomes a ConfigError."""
+    """``path`` opened for writing text, or stdout when it is None.  An OSError
+    while opening, writing or closing it becomes a ConfigError; a failed stdout
+    is pointed at the null device, so the flush at interpreter exit cannot fail."""
     try:
-        return open(path, "w", encoding="utf-8")
+        with (contextlib.nullcontext(sys.stdout) if path is None
+              else open(path, "w", encoding="utf-8")) as fh:
+            yield fh
+            fh.flush()
     except OSError as exc:
+        if path is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            path = "stdout"
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
@@ -184,19 +187,23 @@ def validate_document(doc: dict) -> dict:
     """
     if not isinstance(doc, dict):
         raise SchemaMismatchError("model document is not a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # rejects true and 1.0
         raise SchemaMismatchError(
-            f"schema_version {doc.get('schema_version')!r} unsupported (expected {SCHEMA_VERSION})"
-        )
+            f"schema_version {version!r} unsupported (expected {SCHEMA_VERSION})")
     absent = [".".join(path) for path in _REQUIRED_KEYS if _at(doc, path) is _ABSENT]
     if absent:
         raise SchemaMismatchError(f"model document lacks key(s): {', '.join(absent)}")
     conv = doc["provenance"].get("conventions", {})
+    if not isinstance(conv, dict):
+        raise SchemaMismatchError("provenance.conventions must be a JSON object")
     lacking = [k for k in _REQUIRED_CONVENTIONS if k not in conv]
     if lacking:
         raise SchemaMismatchError(
-            f"provenance.conventions lacks required key(s): {', '.join(lacking)}"
-        )
+            f"provenance.conventions lacks required key(s): {', '.join(lacking)}")
+    if type(conv["cutoff_cells"]) is not int or conv["cutoff_cells"] < 1:
+        raise SchemaMismatchError("provenance.conventions.cutoff_cells must be a positive integer,"
+                                  f" got {conv['cutoff_cells']!r}")
     arrays = {}
     for path, shape in _NUMERIC_SHAPES.items():
         name = ".".join(path)
@@ -216,8 +223,8 @@ def validate_document(doc: dict) -> dict:
 
 
 def deserialize(path) -> ExtendedHHModel:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read a model file: ConfigError if unreadable, SchemaMismatchError if malformed."""
+    doc = _read_json(path, "model file", invalid=SchemaMismatchError)
     arrays = validate_document(doc)
     prov = doc["provenance"]
     spec = spec_from_dict(prov["chain_spec"])
@@ -229,7 +236,7 @@ def deserialize(path) -> ExtendedHHModel:
     ).transpose(2, 1, 0)
     bands = BandStructure(
         q_grid=q, omega=omega, xi=xi, spec=spec,
-        cutoff_cells=int(conv["cutoff_cells"]), relaxed=conv.get("geometry") == "relaxed",
+        cutoff_cells=conv["cutoff_cells"], relaxed=conv.get("geometry") == "relaxed",
     )
     m = (arrays["couplings", "m_re", "values"] + 1j * arrays["couplings", "m_im", "values"]).T
     grid = CouplingGrid(q_grid=q, m_complex=m, m_abs=np.abs(m),

@@ -138,8 +138,10 @@ def test_criterion_08_intracell_coupling_maximum():
 
 
 def test_criterion_09_band_count_classifier():
-    count_25, _, _ = rp.coupled_band_count(rp.coupling_grid(paper_spec(d=2.5)), threshold=0.05)
-    count_15, _, _ = rp.coupled_band_count(rp.coupling_grid(paper_spec(d=1.5)), threshold=0.05)
+    count_25, _, _ = rp.coupled_band_count(rp.coupling_grid(rp.band_structure(paper_spec(d=2.5))),
+                                           threshold=0.05)
+    count_15, _, _ = rp.coupled_band_count(rp.coupling_grid(rp.band_structure(paper_spec(d=1.5))),
+                                           threshold=0.05)
     ok = count_25 == 2 and count_15 >= 3
     criterion(9, ok, f"coupled bands at 5%: d=2.5 -> {count_25}, d=1.5 -> {count_15}")
 
@@ -148,7 +150,7 @@ def test_criterion_10_form_factor_limits():
     spec = paper_spec()
     err0 = abs(rp.rho0(0.0, spec.d) - 1.0)
     err_pole = abs(rp.rho0(2.0 * np.pi / spec.d, spec.d) - 0.5)
-    grid = rp.coupling_grid(spec, q_points=64)
+    grid = rp.coupling_grid(rp.band_structure(spec, q_points=64))
     k0 = int(np.argmin(np.abs(grid.q_grid)))
     m_at_zero = float(grid.m_abs[k0].max())
     ok = err0 < 1e-10 and err_pole < 1e-8 and m_at_zero == 0.0

@@ -47,17 +47,15 @@ def test_rho0_even_and_bounded():
 
 
 def test_coupling_zero_at_q0():
-    spec = paper_spec()
-    grid = coupling_grid(spec)
+    grid = coupling_grid(band_structure(paper_spec()))
     k0 = np.argmin(np.abs(grid.q_grid))
     assert grid.q_grid[k0] == 0.0
     assert np.abs(grid.m_complex[k0]).max() == 0.0
 
 
 def test_transverse_bands_do_not_couple():
-    spec = paper_spec()
-    grid = coupling_grid(spec)
-    bands = band_structure(spec)
+    bands = band_structure(paper_spec())
+    grid = coupling_grid(bands)
     z_amplitude = np.abs(bands.xi[:, [2, 5], :]).sum(axis=1)
     transverse = z_amplitude < 1e-10
     assert transverse.any()
@@ -67,7 +65,7 @@ def test_transverse_bands_do_not_couple():
 
 
 def test_coupling_symmetric_in_q():
-    grid = coupling_grid(paper_spec())
+    grid = coupling_grid(band_structure(paper_spec()))
     qs = grid.q_grid
     for k in range(len(qs)):
         match = np.flatnonzero(np.isclose(qs, -qs[k], rtol=0.0, atol=1e-12))
@@ -85,8 +83,8 @@ def test_modulus_convention_sign_invariance():
         q_grid=bands.q_grid, omega=bands.omega, xi=xi_flipped,
         spec=spec, cutoff_cells=bands.cutoff_cells, relaxed=bands.relaxed,
     )
-    m = coupling_grid(spec, q_points=32, bands=bands).m_complex
-    m_flipped = coupling_grid(spec, q_points=32, bands=flipped).m_complex
+    m = coupling_grid(bands).m_complex
+    m_flipped = coupling_grid(flipped).m_complex
     assert np.allclose(m, m_flipped, atol=1e-15)
 
 
@@ -94,7 +92,7 @@ def test_flat_band_closed_form():
     # without dipoles the polarization vectors are the Cartesian basis and
     # the z bands are 3 (A) and 6 (B): M = q rho0 / sqrt(nu) * e^{-iq rho_z}
     spec = paper_spec(v_dd=0.0)
-    grid = coupling_grid(spec, q_points=64)
+    grid = coupling_grid(band_structure(spec, q_points=64))
     rho_z = base_offsets(spec)[:, 2]
     for k, q in enumerate(grid.q_grid):
         expected_a = q * rho0(q, spec.d) * np.exp(-1j * q * rho_z[0])
@@ -106,13 +104,13 @@ def test_flat_band_closed_form():
 
 
 def test_trap_frequency_scaling_of_flat_band_coupling():
-    g1 = coupling_grid(paper_spec(v_dd=0.0), q_points=16)
-    g2 = coupling_grid(paper_spec(v_dd=0.0, nu=(2.0, 2.0, 2.0)), q_points=16)
+    g1 = coupling_grid(band_structure(paper_spec(v_dd=0.0), q_points=16))
+    g2 = coupling_grid(band_structure(paper_spec(v_dd=0.0, nu=(2.0, 2.0, 2.0)), q_points=16))
     assert np.allclose(g2.m_abs, g1.m_abs / np.sqrt(2.0), atol=1e-14)
 
 
 def test_two_band_regime_at_large_spacing():
-    grid = coupling_grid(paper_spec(d=2.5))
+    grid = coupling_grid(band_structure(paper_spec(d=2.5)))
     count, q_star, fractions = coupled_band_count(grid)
     assert count == 2
     assert coupled_bands(grid) == [1, 6]
@@ -120,23 +118,23 @@ def test_two_band_regime_at_large_spacing():
 
 
 def test_multi_band_regime_at_small_spacing():
-    count, _, _ = coupled_band_count(coupling_grid(paper_spec(d=1.5)))
+    count, _, _ = coupled_band_count(coupling_grid(band_structure(paper_spec(d=1.5))))
     assert count >= 3
 
 
 def test_classifier_threshold_configurable():
-    grid = coupling_grid(paper_spec(d=2.5))
+    grid = coupling_grid(band_structure(paper_spec(d=2.5)))
     count_all, _, _ = coupled_band_count(grid, threshold=0.0)
     assert count_all >= 4
 
 
 def test_coupling_continuity_between_grids():
     spec = paper_spec()
-    coarse = coupling_grid(spec, q_points=256)
-    fine = coupling_grid(spec, q_points=512)
+    bands_fine = band_structure(spec, q_points=512)
+    coarse = coupling_grid(band_structure(spec, q_points=256))
+    fine = coupling_grid(bands_fine)
     # the coarse grid is a subset of the fine grid: identical values there
     assert np.abs(fine.m_abs[1::2] - coarse.m_abs).max() == 0.0
-    bands_fine = band_structure(spec, q_points=512)
     gaps = np.diff(bands_fine.omega, axis=1).min(axis=1)
     touchy = bands_fine.q_grid[gaps < 5e-3]
     err = 0.0
@@ -150,7 +148,7 @@ def test_coupling_continuity_between_grids():
 
 
 def test_physical_coupling_scaler():
-    grid = coupling_grid(paper_spec(), q_points=16)
+    grid = coupling_grid(band_structure(paper_spec(), q_points=16))
     assert np.abs(physical_coupling(grid, g_cp=0.0)).max() == 0.0
     phys = physical_coupling(grid, g_cp=2.0)
     assert np.allclose(phys, 2.0 / np.sqrt(2.0) * grid.m_complex, atol=1e-15)
@@ -164,7 +162,7 @@ def test_zero_frequency_rejected():
         spec=spec, cutoff_cells=bands.cutoff_cells, relaxed=False,
     )
     with pytest.raises(ZeroFrequencyError):
-        coupling_grid(spec, q_points=8, bands=broken)
+        coupling_grid(broken)
 
 
 def _coupling_by_loop(bands, spec, rho_z):
@@ -190,15 +188,9 @@ def test_coupling_grid_matches_per_row_loop(kwargs, q_points, geometry):
     # geometry is that of the bands; the phases use the trap-center rho_z either way
     spec = paper_spec(**kwargs)
     bands = band_structure(spec, q_points=q_points, relax=geometry == "relaxed")
-    grid = coupling_grid(spec, q_points=q_points, bands=bands)
+    grid = coupling_grid(bands)
     expected = _coupling_by_loop(bands, spec, base_offsets(spec)[:, 2])
     assert grid.m_complex.tobytes() == expected.tobytes()
-
-
-def test_coupling_grid_rejects_bands_of_another_spec():
-    bands = band_structure(paper_spec(d=2.0), q_points=16)
-    with pytest.raises(ValueError, match="different chain spec"):
-        coupling_grid(paper_spec(d=2.5), q_points=16, bands=bands)
 
 
 def test_zero_frequency_message_names_first_bad_q():
@@ -213,6 +205,6 @@ def test_zero_frequency_message_names_first_bad_q():
     with pytest.raises(ZeroFrequencyError) as expected:
         _coupling_by_loop(broken, spec, base_offsets(spec)[:, 2])
     with pytest.raises(ZeroFrequencyError) as raised:
-        coupling_grid(spec, q_points=16, bands=broken)
+        coupling_grid(broken)
     assert str(raised.value) == str(expected.value)
     assert f"{bands.q_grid[5]:g}" in str(raised.value)

@@ -1,7 +1,9 @@
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rydphon import (
     ChainSpec,
@@ -15,6 +17,7 @@ from rydphon import (
     dynamical_matrix,
     finite_spectrum,
     hessian,
+    load_chain_spec,
     q_grid,
     relax_bulk,
     relax_finite,
@@ -356,6 +359,67 @@ def _track_bands_by_loop(bands, min_run=3):
     pos = _suppress_touches(pos, min_run)
     k0 = int(np.argmin(np.abs(bands.q_grid)))
     return pos[:, np.argsort(pos[k0])]
+
+
+def _suppress_touches_by_scan(pos, min_run):
+    """Run-by-run scan of each pair's order sign, flipping as it goes."""
+    pos = pos.copy()
+    n_q = pos.shape[0]
+    changed = True
+    while changed:
+        changed = False
+        for a in range(6):
+            for b in range(a + 1, 6):
+                sign = np.sign(pos[:, a] - pos[:, b])
+                k = 0
+                while k < n_q:
+                    k2 = k
+                    while k2 + 1 < n_q and sign[k2 + 1] == sign[k]:
+                        k2 += 1
+                    if 0 < k and k2 < n_q - 1 and (k2 - k + 1) < min_run:
+                        pos[k:k2 + 1, [a, b]] = pos[k:k2 + 1, [b, a]]
+                        sign[k:k2 + 1] = -sign[k:k2 + 1]
+                        changed = True
+                    k = k2 + 1
+    return pos
+
+
+@st.composite
+def position_walks(draw):
+    """Slot of each band along a grid: each event swaps two bands' slots over a
+    stretch of grid points, mostly a short one, else up to the end."""
+    n_q = draw(st.integers(min_value=2, max_value=40))
+    pos = np.tile(np.arange(6), (n_q, 1))
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        start = draw(st.integers(min_value=0, max_value=n_q - 1))
+        length = draw(st.one_of(st.integers(min_value=1, max_value=5), st.just(n_q)))
+        a, b = draw(st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=2,
+                             unique=True))
+        rows = slice(start, start + length)
+        pos[rows, [a, b]] = pos[rows, [b, a]]
+    return pos
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pos=position_walks(), min_run=st.integers(min_value=1, max_value=6))
+def test_suppress_touches_matches_run_scan_on_walks(pos, min_run):
+    assert np.array_equal(_suppress_touches(pos, min_run), _suppress_touches_by_scan(pos, min_run))
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("q_points", [16, 64, 256])
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+def test_suppress_touches_matches_run_scan_on_configs(config, q_points):
+    bands = band_structure(load_chain_spec(config), q_points=q_points)
+    steps = _best_permutations(np.abs(bands.xi[:-1].conj().transpose(0, 2, 1) @ bands.xi[1:]))
+    pos = np.empty((q_points, 6), dtype=int)   # track_bands' positions before suppression
+    pos[0] = np.arange(6)
+    for k, perm in enumerate(steps, start=1):
+        pos[k] = perm[pos[k - 1]]
+    for min_run in (2, 3, 5):
+        assert np.array_equal(_suppress_touches(pos, min_run), _suppress_touches_by_scan(pos, min_run))
 
 
 def _gauge_fix_column(vec):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rydphon
 from rydphon.cli import main
 
 from conftest import paper_spec
@@ -100,6 +105,15 @@ def test_too_few_q_points_for_concavity_fit_exits_two(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "smallest q_points that gives 3 is 4" in err
+
+
+def test_config_that_is_not_utf8_json_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "chain.json"
+    cfg.write_bytes(b"\xff{}")
+    assert main(["check", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: configuration file {cfg} is not valid JSON")
+    assert "Traceback" not in err
 
 
 def test_unstable_chain_exits_one(tmp_path, capsys):
@@ -244,6 +258,45 @@ def test_unwritable_output_exits_two(tmp_path, capsys, argv, message):
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "missing").exists()
+
+
+def _cli_process(argv, **kwargs):
+    """``rydphon argv`` as a child process, stderr captured as text; its stdout
+    is block-buffered, as it is by default when it is not a terminal."""
+    src = str(Path(rydphon.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "rydphon.cli", *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["bands", "--q-points", "16"],
+    ["export", "--q-points", "16", "--t", "1", "--U", "4", "--gcp", "0.5"],
+], ids=lambda argv: argv[0])
+def test_output_failing_while_written_exits_two(tmp_path, argv):
+    proc = _cli_process([argv[0], write_config(tmp_path), *argv[1:], "--out", "/dev/full"])
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.startswith("configuration error: cannot write /dev/full: No space left")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, n_cells, lines_read", [
+    ("local", 40, 1),   # 80 atoms: the g table (about 1.5 MB) fails in a write
+    ("check", 7, 0),    # its few lines fail when stdout is flushed at the end
+])
+def test_closed_stdout_pipe_exits_two(tmp_path, command, n_cells, lines_read):
+    proc = _cli_process([command, write_config(tmp_path, n_cells=n_cells)], stdout=subprocess.PIPE)
+    for _ in range(lines_read):
+        assert proc.stdout.readline() == f"# rydphon {rydphon.__version__}\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 2
+    assert err.startswith("configuration error: cannot write stdout: Broken pipe")
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 _EXTREME_COMMANDS = {

@@ -103,7 +103,7 @@ def sweep_row(spec, q_points):
     bands = band_structure(spec, q_points=q_points)
     diag = band_diagnostics(bands)
     model = local_phonon_model(spec)
-    grid = coupling_grid(spec, q_points=q_points, bands=bands)
+    grid = coupling_grid(bands)
     row = list(diag.bandwidth)
     row.extend(int(c) for c in diag.concavity)
     row.append(len(diag.crossings))
@@ -131,7 +131,7 @@ def _reference_stdout(command, spec) -> str:
         model = local_phonon_model(spec)
         return _csv(spec, G_HEADER, g_rows(model.g)) + _csv(spec, J_HEADER, j_rows(model.J))
     if command == "coupling":
-        grid = coupling_grid(spec, q_points=64)
+        grid = coupling_grid(band_structure(spec, q_points=64))
         count, q_star, _ = coupled_band_count(grid)
         return (_csv(spec, COUPLING_HEADER, coupling_rows(grid),
                      [f"coupled_bands={count} at q*={_fmt(q_star)}"])

@@ -1,10 +1,12 @@
-"""Smoke test: every narrative script in ``demos/`` runs to completion.
+"""Smoke test: every narrative script in ``demos/``, and the README's
+library quickstart, runs to completion.
 
-Each demo runs as its own process in a fresh working directory, with the
+Each script runs as its own process in a fresh working directory, with the
 ``rydphon`` package under test first on its import path.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,9 @@ import pytest
 
 import rydphon
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 SRC = str(Path(rydphon.__file__).resolve().parent.parent)
 
 
@@ -21,8 +25,11 @@ def test_demos_are_found():
     assert len(DEMOS) >= 7
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+@pytest.mark.parametrize("demo", [*DEMOS, README], ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
+    if demo == README:  # its python block; it writes model.json, so it runs from tmp_path
+        demo = tmp_path / "quickstart.py"
+        demo.write_text(re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,

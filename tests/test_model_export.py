@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from rydphon import ConfigError, SchemaMismatchError, assemble, deserialize, serialize
 from rydphon.atom_phonon import physical_coupling
 from rydphon.model_export import (
+    CONVENTIONS,
     SCHEMA_VERSION,
     _at,
     model_document,
@@ -203,3 +205,44 @@ def test_non_numeric_or_non_finite_value_rejected(model, tmp_path, path, value):
     file = _write_edited(tmp_path, model_document(model), path, value)
     with pytest.raises(SchemaMismatchError, match=".".join(path) + " must hold finite numbers"):
         deserialize(file)
+
+
+_MALFORMED_HEADERS = {
+    "version-true": (("schema_version",), True, "schema_version True unsupported"),
+    "version-float": (("schema_version",), 1.0, "schema_version 1.0 unsupported"),
+    "version-string": (("schema_version",), "1", "schema_version '1' unsupported"),
+    "conventions-list": (("provenance", "conventions"), list(CONVENTIONS),
+                         "provenance.conventions must be a JSON object"),
+    "conventions-string": (("provenance", "conventions"), "abc",
+                           "provenance.conventions must be a JSON object"),
+    "cutoff-string": (("provenance", "conventions", "cutoff_cells"), "abc",
+                      "cutoff_cells must be a positive integer, got 'abc'"),
+    "cutoff-zero": (("provenance", "conventions", "cutoff_cells"), 0,
+                    "cutoff_cells must be a positive integer, got 0"),
+    "cutoff-float": (("provenance", "conventions", "cutoff_cells"), 32.0,
+                     "cutoff_cells must be a positive integer, got 32.0"),
+    "cutoff-true": (("provenance", "conventions", "cutoff_cells"), True,
+                    "cutoff_cells must be a positive integer, got True"),
+}
+
+
+@pytest.mark.parametrize("path,value,message", _MALFORMED_HEADERS.values(), ids=_MALFORMED_HEADERS)
+def test_malformed_version_or_conventions_rejected(model, tmp_path, path, value, message):
+    file = _write_edited(tmp_path, model_document(model), path, value)
+    with pytest.raises(SchemaMismatchError, match=re.escape(message)):
+        deserialize(file)
+
+
+@pytest.mark.parametrize("content", [b"", b"{not json", b'{"schema_version": 1', b"\xff\xfe{}"],
+                         ids=["empty", "not-json", "truncated", "not-utf8"])
+def test_file_that_is_not_json_rejected(tmp_path, content):
+    file = tmp_path / "model.json"
+    file.write_bytes(content)
+    with pytest.raises(SchemaMismatchError, match="is not valid JSON"):
+        deserialize(file)
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_unreadable_model_path_is_config_error(tmp_path, name):
+    with pytest.raises(ConfigError, match="cannot read model file"):
+        deserialize(tmp_path / name)

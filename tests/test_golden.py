@@ -21,6 +21,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -68,6 +69,11 @@ def _cases() -> dict:
                                              "--out", "model.json"], ["model.json"])
     cases["spectrum-relax-topological_n20"] = (["spectrum", "{cfg}", "--relax",
                                                 "--out", "spectrum.csv"], ["spectrum.csv"])
+    # g spans |g| < 1e-5, [1e-5, 1e-4) and >= 1e-4, which float formatting spells three ways
+    cases["local-topological_n40"] = (["local", "{cfg}", "--out-g", "g.csv", "--out-j", "j.csv"],
+                                      ["g.csv", "j.csv"])
+    cases["export-relax-q1024-trivial_d25"] = (["export", "{cfg}", "--q-points", "1024", *model,
+                                                "--relax", "--out", "model.json"], ["model.json"])
     return cases
 
 
@@ -75,10 +81,11 @@ CASES = _cases()
 
 
 def _config(case_id: str, work: Path) -> Path:
-    if case_id.endswith("topological_n20"):
+    cells = re.search(r"topological_n(\d+)$", case_id)
+    if cells:
         data = json.loads((ROOT / "configs" / "topological_d2.json").read_text())
-        data["n_cells"] = 20
-        path = work / "topological_n20.json"
+        data["n_cells"] = int(cells.group(1))
+        path = work / f"topological_n{cells.group(1)}.json"
         path.write_text(json.dumps(data))
         return path
     name = next(n for n in CONFIGS if case_id.endswith(n))

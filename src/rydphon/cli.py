@@ -9,7 +9,9 @@ evaluates its points one after another and writes them in sweep order.
 Every CSV goes through one writer, ``_write_table``: each subcommand
 hands it named columns of equal length, the header is their names, and
 the rows are formatted and written a fixed number at a time, to the file
-or to stdout, so no output's whole text is held in memory.
+or to stdout, so no output's whole text is held in memory.  Float cells
+are spelled by the one formatter that also writes the model file,
+``model_export._float_tokens``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,14 @@ from .bands import (
 from .errors import ConfigError, RydphonError
 from .geometry import ChainSpec, Configuration, load_chain_spec, trap_centers
 from .local_phonons import bogoliubov_frequencies, local_phonon_model
-from .model_export import CONVENTIONS, _open_output, assemble, serialize, spec_digest
+from .model_export import (
+    CONVENTIONS,
+    _float_tokens,
+    _open_output,
+    assemble,
+    serialize,
+    spec_digest,
+)
 from .potential import fd_gradient, fd_hessian, gradient, hessian, total_energy
 
 EXIT_OK = 0
@@ -49,9 +58,9 @@ def _write_table(path, spec: ChainSpec, columns: dict, comments=()):
 
     ``columns`` maps each column name, in order, to a 1-D array or list;
     all have the same length.  Comment lines with the tool version, configuration
-    hash, conventions and ``comments`` come first, then the names.  A cell
-    is ``str`` of the array's ``.tolist()`` entry, which for a float is its
-    shortest round-trip repr.
+    hash, conventions and ``comments`` come first, then the names.  A float
+    cell is its shortest round-trip ``repr``, from ``_float_tokens``; any
+    other cell is ``str`` of the array's ``.tolist()`` entry.
     """
     cols = [np.asarray(c) for c in columns.values()]
     head = [f"rydphon {__version__}", f"config_hash={spec_digest(spec)}", _CONVENTIONS_COMMENT,
@@ -59,7 +68,9 @@ def _write_table(path, spec: ChainSpec, columns: dict, comments=()):
     with _open_output(path) as fh:
         fh.write("".join(f"# {line}\n" for line in head) + ",".join(columns) + "\n")
         for start in range(0, len(cols[0]), _CHUNK_ROWS):
-            cells = [map(str, c[start:start + _CHUNK_ROWS].tolist()) for c in cols]
+            chunks = [c[start:start + _CHUNK_ROWS] for c in cols]
+            cells = [_float_tokens(c) if c.dtype.kind == "f" else map(str, c.tolist())
+                     for c in chunks]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

@@ -5,6 +5,13 @@ the phonon bands, and the dimensionless coupling table, together with
 full provenance (chain parameters, tool version, numerical conventions).
 Every float is written with shortest round-trip precision so repeated
 runs produce byte-identical files.
+
+Every float of every output, the model file's and the CSV tables', is
+spelled by one formatter, ``_float_tokens``: ``repr`` of each value,
+produced in bulk by orjson and patched where orjson spells a number
+differently.  ``serialize`` writes the same text that
+``json.dump(..., sort_keys=True, indent=1, allow_nan=False)`` wrote,
+one array row at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -20,7 +28,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .atom_phonon import CouplingGrid, coupling_grid
-from .bands import BandStructure, DEFAULT_Q_POINTS, band_structure
+from .bands import BandStructure, DEFAULT_Q_POINTS, band_structure, q_grid
 from .errors import ConfigError, SchemaMismatchError
 from .geometry import ChainSpec, _read_json, spec_from_dict, spec_to_dict
 
@@ -107,9 +115,36 @@ def assemble(
     )
 
 
-def _clean(values: np.ndarray) -> list:
+_ONE_DIGIT_NEGATIVE_EXPONENT = re.compile(r"e-(\d)(?!\d)")
+_POSITIVE_EXPONENT = re.compile(r"e(?=\d)")
+
+
+def _float_tokens(values) -> list[str]:
+    """``repr`` of every value of ``values`` as a float, in C order.
+
+    orjson writes the same shortest round-trip digits as ``repr``, but
+    spells exponents ``e-7`` and ``e16`` where ``repr`` writes ``e-07`` and
+    ``e+16``; both are rewritten in the text.  It writes 1e-5 <= |x| < 1e-4
+    positionally and non-finite values as ``null``; those take ``repr``
+    one by one.
+    """
+    import orjson  # imported here so that importing the CLI does not load it
+
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if not flat.size:
+        return []
+    text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    text = _POSITIVE_EXPONENT.sub("e+", _ONE_DIGIT_NEGATIVE_EXPONENT.sub(r"e-0\1", text))
+    tokens = text[1:-1].split(",")
+    size = np.abs(flat)
+    for i in np.flatnonzero(~np.isfinite(flat) | ((size >= 1e-5) & (size < 1e-4))):
+        tokens[i] = repr(float(flat[i]))
+    return tokens
+
+
+def _clean(values: np.ndarray) -> np.ndarray:
     # adding 0.0 turns negative zeros positive, keeping reserialization byte-stable
-    return (np.asarray(values) + 0.0).tolist()
+    return np.asarray(values, dtype=np.float64) + 0.0
 
 
 def _axis_table(values: np.ndarray, axes: list) -> dict:
@@ -163,10 +198,36 @@ def _open_output(path):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _write_json(fh, value, level: int = 0) -> None:
+    """Write ``value`` as ``json.dump(value, fh, sort_keys=True, indent=1,
+    allow_nan=False)`` would, with each 1-D float array row spelled by
+    ``_float_tokens``.  A non-finite number raises ValueError."""
+    pad = "\n" + " " * (level + 1)
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.size:
+        if not np.isfinite(value).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        fh.write("[" + pad + ("," + pad).join(_float_tokens(value)) + pad[:-1] + "]")
+        return
+    if isinstance(value, dict):
+        brackets, items = "{}", [(json.dumps(k) + ": ", value[k]) for k in sorted(value)]
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        brackets, items = "[]", [("", v) for v in value]
+    else:
+        fh.write(json.dumps(value, allow_nan=False))
+        return
+    if not items:
+        fh.write(brackets)
+        return
+    for i, (prefix, item) in enumerate(items):
+        fh.write(("," if i else brackets[0]) + pad + prefix)
+        _write_json(fh, item, level + 1)
+    fh.write(pad[:-1] + brackets[1])
+
+
 def serialize(model: ExtendedHHModel, path) -> None:
-    """Write the model document to ``path``, streamed as the encoder produces it."""
+    """Write the model document to ``path``, streamed one array row at a time."""
     with _open_output(path) as fh:
-        json.dump(model_document(model), fh, sort_keys=True, indent=1, allow_nan=False)
+        _write_json(fh, model_document(model))
         fh.write("\n")
 
 
@@ -223,13 +284,17 @@ def validate_document(doc: dict) -> dict:
 
 
 def deserialize(path) -> ExtendedHHModel:
-    """Read a model file: ConfigError if unreadable, SchemaMismatchError if malformed."""
+    """Read a model file: ConfigError if unreadable, SchemaMismatchError if malformed
+    or if ``phonons.q`` is not the q grid of its ``chain_spec`` (to 1e-12 pi/a)."""
     doc = _read_json(path, "model file", invalid=SchemaMismatchError)
     arrays = validate_document(doc)
     prov = doc["provenance"]
     spec = spec_from_dict(prov["chain_spec"])
     conv = dict(prov["conventions"])
     q = arrays["phonons", "q"]
+    if q.size < 2 or np.abs(q - q_grid(spec, q.size)).max() > 1e-12 * np.pi / spec.a:
+        raise SchemaMismatchError(
+            f"phonons.q is not the {q.size}-point q grid of provenance.chain_spec")
     omega = arrays["phonons", "omega", "values"].T
     xi = (
         arrays["phonons", "xi_re", "values"] + 1j * arrays["phonons", "xi_im", "values"]

@@ -190,3 +190,18 @@ def test_empty_j_table_is_header_only(tmp_path):
     assert local_phonon_model(spec).J == {}
     assert out_j.read_text() == _csv(spec, J_HEADER, [])
     assert out_j.read_text().splitlines()[-1] == J_HEADER
+
+
+def test_float_column_spellings_match_row_path(tmp_path):
+    """Every way a float is spelled: tiny, [1e-5, 1e-4), >= 1e16, signed zero, inf and nan,
+    in a column that spans more than one chunk, next to int and text columns."""
+    spellings = [1e-17, -2.5e-17, 1e-5, 3.3e-5, -9.999e-5, float(np.nextafter(1e-4, 0.0)), 1e-4,
+                 1e16, -1.25e16, 3.5e21, 5e-324, -0.0, 0.0, 0.1, float("inf"), -float("inf"),
+                 float("nan")]
+    values = np.tile(spellings, cli._CHUNK_ROWS // len(spellings) + 2)
+    labels = np.array(["x", "y"])[np.arange(len(values)) % 2]
+    spec = paper_spec()
+    out = tmp_path / "t.csv"
+    cli._write_table(out, spec, {"k": np.arange(len(values)), "label": labels, "value": values})
+    rows = zip(range(len(values)), labels, values)
+    assert out.read_text() == _csv(spec, "k,label,value", rows)

@@ -17,6 +17,11 @@ from rydphon.model_export import (
 from conftest import paper_spec
 
 
+def _dumps(doc) -> str:
+    """JSON text of a (possibly edited) model document, whose float arrays become lists."""
+    return json.dumps(doc, default=lambda a: a.tolist())
+
+
 @pytest.fixture(scope="module")
 def model():
     return assemble(paper_spec(), t=1.0, U=4.0, g_cp=0.5, q_points=64)
@@ -51,7 +56,7 @@ def test_missing_couplings_section_rejected(model, tmp_path):
     doc = model_document(model)
     del doc["couplings"]
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(_dumps(doc))
     with pytest.raises(SchemaMismatchError, match="couplings"):
         deserialize(path)
 
@@ -60,7 +65,7 @@ def test_schema_version_mismatch_rejected(model, tmp_path):
     doc = model_document(model)
     doc["schema_version"] = SCHEMA_VERSION + 1
     path = tmp_path / "future.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(_dumps(doc))
     with pytest.raises(SchemaMismatchError, match="schema_version"):
         deserialize(path)
 
@@ -94,7 +99,7 @@ def test_missing_key_rejected(model, tmp_path, path):
         parent = parent[key]
     del parent[path[-1]]
     file = tmp_path / "broken.json"
-    file.write_text(json.dumps(doc))
+    file.write_text(_dumps(doc))
     with pytest.raises(SchemaMismatchError, match=path[-1]):
         deserialize(file)
 
@@ -170,7 +175,7 @@ def test_floats_survive_json_exactly(model, tmp_path):
 def _write_edited(tmp_path, doc, path, value):
     _at(doc, path[:-1])[path[-1]] = value
     file = tmp_path / "edited.json"
-    file.write_text(json.dumps(doc))
+    file.write_text(_dumps(doc))
     return file
 
 
@@ -180,7 +185,7 @@ def _write_edited(tmp_path, doc, path, value):
     (("phonons", "xi_re", "values"), lambda v: [b[:5] for b in v], None),    # 5 components
     (("phonons", "xi_im", "values"), lambda v: [[c[:-1] for c in b] for b in v], None),
     (("couplings", "m_re", "values"), lambda v: [b[1:] for b in v], None),
-    (("couplings", "m_im", "values"), lambda v: v + v[:1], None),
+    (("couplings", "m_im", "values"), lambda v: [*v, v[0]], None),
     (("couplings", "rho0",), lambda v: v[:-1], None),
 ])
 def test_array_shape_mismatch_rejected(model, tmp_path, path, trim, named):
@@ -246,3 +251,24 @@ def test_file_that_is_not_json_rejected(tmp_path, content):
 def test_unreadable_model_path_is_config_error(tmp_path, name):
     with pytest.raises(ConfigError, match="cannot read model file"):
         deserialize(tmp_path / name)
+
+
+@pytest.mark.parametrize("edit", [{"d": 2.5, "a": 5.0}, {"a": 4.0 * (1 + 1e-9)}],
+                         ids=["d-and-a", "a-by-1e-9"])
+def test_q_grid_of_another_chain_rejected(tmp_path, edit):
+    model = assemble(paper_spec(d=2.0), t=1.0, U=4.0, g_cp=0.5, q_points=16)
+    path = tmp_path / "model.json"
+    serialize(model, path)
+    doc = json.loads(path.read_text())
+    doc["provenance"]["chain_spec"].update(edit)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaMismatchError, match=r"phonons\.q is not the 16-point q grid"):
+        deserialize(path)
+
+
+def test_q_grid_within_its_tolerance_loads(model, tmp_path):
+    doc = json.loads(_dumps(model_document(model)))
+    doc["phonons"]["q"] = [q + 1e-13 for q in doc["phonons"]["q"]]   # 1e-13 < 1e-12 pi/a
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert np.array_equal(deserialize(path).bands.q_grid, np.array(doc["phonons"]["q"]))

@@ -6,12 +6,11 @@ full provenance (chain parameters, tool version, numerical conventions).
 Every float is written with shortest round-trip precision so repeated
 runs produce byte-identical files.
 
-Every float of every output, the model file's and the CSV tables', is
-spelled by one formatter, ``_float_tokens``: ``repr`` of each value,
-produced in bulk by orjson and patched where orjson spells a number
-differently.  ``serialize`` writes the same text that
-``json.dump(..., sort_keys=True, indent=1, allow_nan=False)`` wrote,
-one array row at a time.
+One formatter, ``_float_tokens``, spells every float of every output, the
+model file's and the CSV tables': ``repr`` of each value, produced in bulk
+by orjson and patched where orjson spells a number differently.
+``serialize`` writes the text that ``json.dump(..., sort_keys=True,
+indent=1, allow_nan=False)`` would, one array row at a time.
 """
 
 from __future__ import annotations
@@ -136,8 +135,8 @@ def _float_tokens(values) -> list[str]:
     text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY).decode()
     text = _POSITIVE_EXPONENT.sub("e+", _ONE_DIGIT_NEGATIVE_EXPONENT.sub(r"e-0\1", text))
     tokens = text[1:-1].split(",")
-    size = np.abs(flat)
-    for i in np.flatnonzero(~np.isfinite(flat) | ((size >= 1e-5) & (size < 1e-4))):
+    magnitude = np.abs(flat)
+    for i in np.flatnonzero(~np.isfinite(flat) | ((magnitude >= 1e-5) & (magnitude < 1e-4))):
         tokens[i] = repr(float(flat[i]))
     return tokens
 
@@ -202,11 +201,12 @@ def _write_json(fh, value, level: int = 0) -> None:
     """Write ``value`` as ``json.dump(value, fh, sort_keys=True, indent=1,
     allow_nan=False)`` would, with each 1-D float array row spelled by
     ``_float_tokens``.  A non-finite number raises ValueError."""
-    pad = "\n" + " " * (level + 1)
+    indent = "\n" + " " * level
+    pad = indent + " "
     if isinstance(value, np.ndarray) and value.ndim == 1 and value.size:
         if not np.isfinite(value).all():
             raise ValueError("Out of range float values are not JSON compliant")
-        fh.write("[" + pad + ("," + pad).join(_float_tokens(value)) + pad[:-1] + "]")
+        fh.write("[" + pad + ("," + pad).join(_float_tokens(value)) + indent + "]")
         return
     if isinstance(value, dict):
         brackets, items = "{}", [(json.dumps(k) + ": ", value[k]) for k in sorted(value)]
@@ -221,7 +221,7 @@ def _write_json(fh, value, level: int = 0) -> None:
     for i, (prefix, item) in enumerate(items):
         fh.write(("," if i else brackets[0]) + pad + prefix)
         _write_json(fh, item, level + 1)
-    fh.write(pad[:-1] + brackets[1])
+    fh.write(indent + brackets[1])
 
 
 def serialize(model: ExtendedHHModel, path) -> None:

@@ -9,6 +9,7 @@ the reference.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
@@ -26,6 +27,7 @@ from rydphon.bands import BandStructure, q_grid
 from rydphon.model_export import (
     ExtendedHHModel,
     _float_tokens,
+    _write_json,
     conventions_dict,
     model_document,
     serialize,
@@ -80,6 +82,17 @@ def test_importing_the_cli_does_not_load_orjson():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.stdout.strip() == "False", proc.stderr
+
+
+def test_json_writer_matches_json_dump_on_nested_containers():
+    doc = {"b": [], "a": {}, "\u00e9": "\u00fc\n", "c": {
+        "z": [1, "x", None, True, -0.0], "y": np.zeros((2, 0)), "x": np.array([]),
+        "w": np.arange(6.0).reshape(2, 3) - 2.5, "v": [np.array([1e-5, -0.0]), {"k": 1e16}],
+    }}
+    fh = io.StringIO()
+    _write_json(fh, doc)
+    assert fh.getvalue() == json.dumps(doc, default=lambda a: a.tolist(), sort_keys=True,
+                                       indent=1, allow_nan=False)
 
 
 # every spelling the writer has to get right: tiny, [1e-5, 1e-4), >= 1e16, signed zero

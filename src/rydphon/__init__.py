@@ -40,12 +40,10 @@ from .equilibrium import BulkEquilibrium, relax_bulk, relax_finite
 from .bands import (
     BandDiagnostics,
     BandStructure,
-    EdgeDetectionParams,
     FiniteSpectrum,
     band_diagnostics,
     band_structure,
     detect_edge_modes,
-    dynamical_matrix,
     finite_spectrum,
     q_grid,
     track_bands,
@@ -60,7 +58,6 @@ from .local_phonons import (
 )
 from .atom_phonon import (
     CouplingGrid,
-    coupled_band_count,
     coupled_bands,
     coupling_grid,
     physical_coupling,

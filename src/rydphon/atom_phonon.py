@@ -28,6 +28,7 @@ from .geometry import ChainSpec, base_offsets
 
 _POLE = 2.0 * np.pi
 _POLE_WINDOW = 1e-3
+_COUPLED_FRACTION = 0.05  # coupled_bands' share of the peak band's coupling power
 
 
 def rho0(q, d: float):
@@ -73,29 +74,28 @@ def coupling_grid(bands: BandStructure) -> CouplingGrid:
                         omega=omega, spec=spec)
 
 
-def coupled_band_count(grid: CouplingGrid, threshold: float = 0.05):
-    """Number of bands carrying a non-negligible share of the peak coupling.
+def coupled_bands(grid: CouplingGrid):
+    """Bands carrying a non-negligible share of the peak coupling.
 
-    Evaluated at the momentum of the global coupling maximum: a band
-    counts when its coupling power |M|^2 there is at least ``threshold``
-    of the strongest band's.  Away from that momentum, narrow band
-    crossings smear the strong couplings over several sorted bands and
-    would inflate the count.
+    Evaluated at the momentum q* of the global coupling maximum: a band
+    counts when its coupling power |M|^2 there is at least 5 %
+    (``_COUPLED_FRACTION``) of the strongest band's.  Away from that
+    momentum, narrow band crossings smear the strong couplings over
+    several sorted bands and would inflate the count.  Two bands make the
+    two-band regime, three or more the multi-band one.
+
+    Returns (labels, q*, fractions): the 1-based sorted-band labels that
+    count, q*, and the (6,) power fractions at q* (all 0 when M vanishes
+    everywhere).
     """
     k_star, _ = np.unravel_index(int(np.argmax(grid.m_abs)), grid.m_abs.shape)
+    q_star = float(grid.q_grid[k_star])
     row = grid.m_abs[k_star]
     peak = row.max()
     if peak == 0.0:
-        return 0, float(grid.q_grid[k_star]), np.zeros(6)
+        return [], q_star, np.zeros(6)
     fractions = (row / peak) ** 2
-    count = int((fractions >= threshold).sum())
-    return count, float(grid.q_grid[k_star]), fractions
-
-
-def coupled_bands(grid: CouplingGrid, threshold: float = 0.05) -> list:
-    """1-based sorted-band labels counted by coupled_band_count."""
-    _, q_star, fractions = coupled_band_count(grid, threshold)
-    return [j + 1 for j in range(6) if fractions[j] >= threshold]
+    return [j + 1 for j in range(6) if fractions[j] >= _COUPLED_FRACTION], q_star, fractions
 
 
 def physical_coupling(grid: CouplingGrid, g_cp: float) -> np.ndarray:

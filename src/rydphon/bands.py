@@ -13,7 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .equilibrium import DEFAULT_CUTOFF_CELLS, BulkEquilibrium, relax_bulk, relax_finite
+from .equilibrium import DEFAULT_CUTOFF_CELLS, relax_bulk, relax_finite
 from .errors import CoincidentAtomsError, ConfigError, ImaginaryFrequencyError
 from .geometry import ChainSpec, base_offsets, trap_centers
 from .potential import MIN_SEPARATION, _pair_hessians, _require_finite, hessian
@@ -22,11 +22,17 @@ DEFAULT_Q_POINTS = 256
 DEGENERACY_TOL = 1e-10
 NEGATIVE_CLAMP = 1e-12
 _CONCAVITY_WINDOW = 0.5  # band_diagnostics fits |q| <= _CONCAVITY_WINDOW * pi/a
+_MIN_RUN = 3  # track_bands undoes order flips that revert within this many grid points
+# detect_edge_modes: how far outside every bulk envelope a mode must lie inside
+# an interior gap, or beyond the outer spectrum edge, and the end decay it needs there
+_INTERIOR_MARGIN = 1e-4
+_EXTERIOR_MARGIN = 1e-4
+_END_DECAY_THRESHOLD = 1.8
 
 _Z_COMPONENTS = (2, 5)  # (A, z) and (B, z) slots in the 6-component basis
 
 
-def q_grid(spec: ChainSpec, q_points: int = DEFAULT_Q_POINTS) -> np.ndarray:
+def q_grid(spec: ChainSpec, q_points: int) -> np.ndarray:
     """Uniform grid over (-pi/a, pi/a], endpoint included, -pi/a excluded."""
     if q_points < 2:
         raise ValueError("q_points must be >= 2")
@@ -79,21 +85,6 @@ def _dynamical_matrices(qs, spec: ChainSpec, deltas, cutoff_cells: int) -> np.nd
     dyn = np.einsum("qn,nij->qij", phases, blocks)
     _require_finite(dyn, "Bloch matrix")
     return dyn
-
-
-def dynamical_matrix(
-    q: float,
-    spec: ChainSpec,
-    bulk_eq: BulkEquilibrium | None = None,
-) -> np.ndarray:
-    """Hermitian 6x6 Bloch matrix at quasimomentum q, summed over
-    DEFAULT_CUTOFF_CELLS cells each way.
-
-    bulk_eq=None evaluates at the trap centers; pass a relax_bulk result
-    to use the translationally relaxed geometry.
-    """
-    deltas = bulk_eq.deltas if bulk_eq is not None else np.zeros((2, 3))
-    return _dynamical_matrices([q], spec, deltas, DEFAULT_CUTOFF_CELLS)[0]
 
 
 def _gauge_fix(xi: np.ndarray) -> np.ndarray:
@@ -196,21 +187,6 @@ def band_structure(
 # finite chains and edge modes
 
 @dataclass(frozen=True)
-class EdgeDetectionParams:
-    """Thresholds of the edge-mode classifier.
-
-    A mode is edge-flagged when it lies outside every bulk band envelope
-    and is either inside an interior gap (between two bands) or, when it
-    sits beyond the outer spectrum edge, shows end-localized decay
-    (weight of the outer two atom pairs over the next two).
-    """
-
-    interior_margin: float = 1e-4
-    exterior_margin: float = 1e-4
-    end_decay_threshold: float = 1.8
-
-
-@dataclass(frozen=True)
 class EdgeModeReport:
     edge_flags: np.ndarray      # (3N,) bool
     ipr: np.ndarray             # (3N,)
@@ -260,17 +236,25 @@ def detect_edge_modes(
     modes: np.ndarray,
     frequencies: np.ndarray,
     band_edges: np.ndarray,
-    params: EdgeDetectionParams | None = None,
 ) -> EdgeModeReport:
     """Flag boundary-localized modes detached from the bulk bands.
 
-    band_edges is the (6, 2) table of bulk envelopes.  The inverse
-    participation ratio is reported for every mode but is not used as the
-    flag criterion: at 14 atoms the detached states are too weakly
-    localized for any IPR cut to separate them from bulk modes.
+    band_edges is the (6, 2) table of bulk envelopes.  A mode is flagged
+    when it lies outside every envelope and either sits in an interior gap
+    (between the lowest band's bottom and the highest band's top) by more
+    than 1e-4 (``_INTERIOR_MARGIN``), or sits beyond the outer spectrum edge
+    by more than 1e-4 (``_EXTERIOR_MARGIN``) with an end decay -- weight of
+    the outer two atom pairs over the next two -- of at least 1.8
+    (``_END_DECAY_THRESHOLD``).  The inverse participation ratio is reported
+    for every mode but is not used as the flag criterion: at 14 atoms the
+    detached states are too weakly localized for any IPR cut to separate
+    them from bulk modes.
+
+    nearest_band is the 1-based band whose envelope is closest, at distance
+    0 inside it; distances are compared exactly, and a tie (a mode inside
+    two overlapping envelopes, or equally far from two) goes to the lower
+    band.
     """
-    if params is None:
-        params = EdgeDetectionParams()
     n_atoms = modes.shape[0] // 3
     weights = atom_weights(modes, n_atoms)
     ipr = (weights**2).sum(axis=0)
@@ -286,8 +270,8 @@ def detect_edge_modes(
     interior = (lo.min() < frequencies) & (frequencies < hi.max())
     flags = (out_by != 0.0) & np.where(
         interior,
-        out_by > params.interior_margin,
-        (out_by > params.exterior_margin) & (decay >= params.end_decay_threshold),
+        out_by > _INTERIOR_MARGIN,
+        (out_by > _EXTERIOR_MARGIN) & (decay >= _END_DECAY_THRESHOLD),
     )
     return EdgeModeReport(
         edge_flags=flags, ipr=ipr, end_decay=decay,
@@ -299,7 +283,6 @@ def finite_spectrum(
     spec: ChainSpec,
     relax: bool = False,
     q_points: int = DEFAULT_Q_POINTS,
-    params: EdgeDetectionParams | None = None,
 ) -> FiniteSpectrum:
     """Normal modes of the finite chain with edge detection applied.
 
@@ -313,7 +296,7 @@ def finite_spectrum(
     freqs = _freqs_from_lambda(lam, "finite_spectrum")
     bands = band_structure(spec, q_points=q_points, relax=relax)
     edges = bands.envelopes()
-    report = detect_edge_modes(vec, freqs, edges, params)
+    report = detect_edge_modes(vec, freqs, edges)
     return FiniteSpectrum(
         frequencies=freqs, modes=vec, report=report,
         band_edges=edges, spec=spec, relaxed=relax,
@@ -365,7 +348,7 @@ def _suppress_touches(pos: np.ndarray, min_run: int) -> np.ndarray:
     return pos
 
 
-def track_bands(bands: BandStructure, min_run: int = 3) -> np.ndarray:
+def track_bands(bands: BandStructure) -> np.ndarray:
     """Follow band identity through crossings by eigenvector overlap.
 
     Returns positions[k, l]: the sorted slot occupied at q_grid[k] by
@@ -375,14 +358,15 @@ def track_bands(bands: BandStructure, min_run: int = 3) -> np.ndarray:
     Each step k -> k+1 takes the permutation of sorted slots that maximises
     the summed overlap |<xi_k|xi_{k+1}>|; it depends only on the overlaps of
     that step, not on the tracking state.  Ties go to the first maximum in
-    itertools.permutations order.
+    itertools.permutations order.  Order flips that revert within 3 grid
+    points (``_MIN_RUN``) are then undone, as degenerate touches.
     """
     steps = _best_permutations(np.abs(bands.xi[:-1].conj().transpose(0, 2, 1) @ bands.xi[1:]))
     pos = np.empty((len(bands.q_grid), 6), dtype=int)
     pos[0] = np.arange(6)
     for k, perm in enumerate(steps, start=1):
         pos[k] = perm[pos[k - 1]]
-    pos = _suppress_touches(pos, min_run)
+    pos = _suppress_touches(pos, _MIN_RUN)
     # relabel so that label order matches the sorted order at q ~ 0
     k0 = int(np.argmin(np.abs(bands.q_grid)))
     order = np.argsort(pos[k0])
@@ -401,8 +385,8 @@ class BandDiagnostics:
 
 
 def band_diagnostics(bands: BandStructure) -> BandDiagnostics:
-    """Crossings (tracked with track_bands' default min_run), q=0
-    concavities and bandwidths.
+    """Crossings (of the bands that track_bands follows), q=0 concavities
+    and bandwidths.
 
     Concavity is the sign of the quadratic coefficient of a fit over the
     central window |q| <= pi/(2a); a plain 3-point stencil is too local to

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .atom_phonon import coupled_band_count, coupled_bands, coupling_grid, rho0
+from .atom_phonon import coupled_bands, coupling_grid, rho0
 from .bands import (
     DEFAULT_CUTOFF_CELLS,
     DEFAULT_Q_POINTS,
@@ -114,15 +114,15 @@ def cmd_local(spec: ChainSpec, args) -> int:
 
 def cmd_coupling(spec: ChainSpec, args) -> int:
     grid = coupling_grid(band_structure(spec, q_points=args.q_points, relax=args.relax))
-    count, q_star, _ = coupled_band_count(grid)
+    labels, q_star, _ = coupled_bands(grid)
     m = grid.m_complex
     _write_table(args.out, spec, {
         **_q_band_columns(grid.q_grid), "re_m": m.real.ravel(), "im_m": m.imag.ravel(),
         # |M| as a scalar complex abs() gives it; np.abs (grid.m_abs) can differ in the last bit
         "abs_m": np.hypot(m.real, m.imag).ravel(),
         "rho0": np.repeat(grid.rho0_values, 6), "omega": grid.omega.ravel(),
-    }, [f"coupled_bands={count} at q*={q_star!r}"])
-    print(f"coupled_bands={count} bands={coupled_bands(grid)}")
+    }, [f"coupled_bands={len(labels)} at q*={q_star!r}"])
+    print(f"coupled_bands={len(labels)} bands={labels}")
     return EXIT_OK
 
 
@@ -143,7 +143,7 @@ def _sweep_point(spec: ChainSpec, q_points: int) -> dict:
         "j_intracell": model.J.get((1, 0), 0.0),
         "j_intercell": model.J.get((1, 1), 0.0),
         **{f"max_m_{j}": m for j, m in enumerate(grid.m_abs.max(axis=0), 1)},
-        "coupled_bands": ";".join(str(b) for b in coupled_bands(grid)) or "-",
+        "coupled_bands": ";".join(str(b) for b in coupled_bands(grid)[0]) or "-",
     }
 
 
@@ -186,8 +186,8 @@ def _run_checks(spec: ChainSpec):
     hess_err = 0.0
     for _ in range(3):
         cfg = perturbed()
-        grad_err = max(grad_err, float(np.abs(gradient(cfg, spec) - fd_gradient(cfg, spec, 1e-5)).max()))
-        hess_err = max(hess_err, float(np.abs(hessian(cfg, spec) - fd_hessian(cfg, spec, 1e-4)).max()))
+        grad_err = max(grad_err, float(np.abs(gradient(cfg, spec) - fd_gradient(cfg, spec)).max()))
+        hess_err = max(hess_err, float(np.abs(hessian(cfg, spec) - fd_hessian(cfg, spec)).max()))
     checks.append(("gradient-vs-central-differences", grad_err, 1e-6))
     checks.append(("hessian-vs-central-differences", hess_err, 1e-5))
 

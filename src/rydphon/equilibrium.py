@@ -28,18 +28,16 @@ from .potential import (
     total_energy,
 )
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 200
-DEFAULT_BULK_TOL = 1e-8
+_TOL = 1e-10       # relax_finite stops once ||dV/dR||_inf < _TOL
+_BULK_TOL = 1e-8   # relax_bulk's residual tolerance; its cutoff check allows 10 * _BULK_TOL
+_MAX_ITER = 200    # Newton iterations either relaxation may take
 DEFAULT_CUTOFF_CELLS = 32
 
 
-def relax_finite(
-    spec: ChainSpec,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> Configuration:
-    """Relax a finite chain from the trap centers until ||dV/dR||_inf < tol.
+def relax_finite(spec: ChainSpec) -> Configuration:
+    """Relax a finite chain from the trap centers until ||dV/dR||_inf < 1e-10
+    (``_TOL``), in at most 200 Newton iterations (``_MAX_ITER``); more raise
+    MaxIterExceededError.
 
     The returned configuration carries the Hessian at the solution; its
     ``stable`` flag and ``min_hessian_eigenvalue`` are computed from it on
@@ -53,7 +51,7 @@ def relax_finite(
 
     x, residual, hess, n_iter, history = _newton_descent(
         trap_centers(spec).positions.reshape(-1).copy(), evaluate, _step_cap(spec),
-        tol, max_iter, "finite", lambda x, residual: Configuration(x.reshape(-1, 3), residual),
+        _TOL, _MAX_ITER, "finite", lambda x, residual: Configuration(x.reshape(-1, 3), residual),
     )
     return Configuration(x.reshape(-1, 3), residual, relaxed=True, n_iterations=n_iter,
                          energy_history=tuple(history), hessian=hess)
@@ -68,8 +66,6 @@ def _newton_descent(x, evaluate, cap, tol, max_iter, what, iterate):
     (x, residual, Hessian at x, iterations, energy history) once
     ||gradient||_inf < tol; a failure's last_iterate is iterate(x, residual).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     energy, derivatives = evaluate(x)
     grad, hess = derivatives()
     _require_finite(grad, f"{what} gradient")
@@ -218,28 +214,25 @@ def _solve_bulk(spec: ChainSpec, tol: float, cutoff_cells: int, max_iter: int):
     return x.reshape(2, 3), residual, n_iter
 
 
-def relax_bulk(
-    spec: ChainSpec,
-    tol: float = DEFAULT_BULK_TOL,
-    cutoff_cells: int = DEFAULT_CUTOFF_CELLS,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> BulkEquilibrium:
+def relax_bulk(spec: ChainSpec, cutoff_cells: int = DEFAULT_CUTOFF_CELLS) -> BulkEquilibrium:
     """Displacements (delta_A, delta_B) of the infinite chain under the
     ansatz that every cell moves identically.
 
-    Neighbor sums run over |n| <= cutoff_cells.  The solve is repeated at
-    twice the cutoff and NonConvergedCutoffError is raised if the answer
-    moves by more than 10*tol.
+    Neighbor sums run over |n| <= cutoff_cells.  The Newton descent stops
+    once the residual is below 1e-8 (``_BULK_TOL``), in at most 200
+    iterations (``_MAX_ITER``).  The solve is repeated at twice the cutoff
+    and NonConvergedCutoffError is raised if the answer moves by more than
+    10 * 1e-8.
     """
     if cutoff_cells < 1:
         raise ValueError("cutoff_cells must be >= 1")
-    deltas, residual, n_iter = _solve_bulk(spec, tol, cutoff_cells, max_iter)
-    deltas2, _, _ = _solve_bulk(spec, tol, 2 * cutoff_cells, max_iter)
+    deltas, residual, n_iter = _solve_bulk(spec, _BULK_TOL, cutoff_cells, _MAX_ITER)
+    deltas2, _, _ = _solve_bulk(spec, _BULK_TOL, 2 * cutoff_cells, _MAX_ITER)
     drift = float(np.abs(deltas2 - deltas).max())
-    if drift > 10.0 * tol:
+    if drift > 10.0 * _BULK_TOL:
         raise NonConvergedCutoffError(
             f"doubling cutoff_cells from {cutoff_cells} moved the bulk displacements "
-            f"by {drift:.3e} (> 10*tol = {10 * tol:.3e}); increase cutoff_cells or tol"
+            f"by {drift:.3e} (> 10*tol = {10 * _BULK_TOL:.3e}); increase cutoff_cells"
         )
     return BulkEquilibrium(
         delta_a=deltas[0].copy(),

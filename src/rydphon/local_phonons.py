@@ -19,6 +19,7 @@ from .equilibrium import relax_finite
 from .potential import hessian
 
 _IMAG_TOL = 1e-8
+_EXCLUDE_OUTER_CELLS = 1  # aggregate_J skips pairs that touch this many cells at either end
 
 
 def local_frequencies(harmonic: np.ndarray, mass: float) -> np.ndarray:
@@ -53,19 +54,20 @@ def coupling_matrices(harmonic: np.ndarray, omega_local: np.ndarray, mass: float
     return g, h
 
 
-def aggregate_J(g: np.ndarray, exclude_outer_cells: int = 1) -> dict:
+def aggregate_J(g: np.ndarray) -> dict:
     """Average Sum_ij g_nm^ij over interior pairs of equal separation.
 
     Keys are (separation, bond_class) with bond_class the parity of the
     first flat atom index: for odd separations class 0 starts on the A
     leg (the intra-cell bond family) and class 1 on the B leg.  Pairs
-    touching the outermost cells are excluded to suppress edge effects.
+    touching the outermost cell at either end (``_EXCLUDE_OUTER_CELLS``)
+    are excluded to suppress edge effects.
     """
     n_atoms = g.shape[0]
     n_cells = n_atoms // 2
     sums = g.sum(axis=(1, 3))  # (N, N) of Sum_ij g^ij
-    lo = exclude_outer_cells
-    hi = n_cells - exclude_outer_cells
+    lo = _EXCLUDE_OUTER_CELLS
+    hi = n_cells - _EXCLUDE_OUTER_CELLS
     cell = np.arange(n_atoms) // 2
     inside = (lo <= cell) & (cell < hi)
     table: dict = {}

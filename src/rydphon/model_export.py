@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import re
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -180,21 +182,60 @@ def model_document(model: ExtendedHHModel) -> dict:
     }
 
 
+def _create_beside(target: str):
+    """A new text file in ``target``'s directory, created as ``open(target, "w")``
+    would create ``target``, and its path."""
+    head, name = os.path.split(target)
+    for n in itertools.count():
+        staged = os.path.join(head, f".{name}.{n}.tmp")
+        try:
+            return open(staged, "x", encoding="utf-8"), staged
+        except FileExistsError:
+            continue
+
+
 @contextlib.contextmanager
 def _open_output(path):
-    """``path`` opened for writing text, or stdout when it is None.  An OSError
-    while opening, writing or closing it becomes a ConfigError; a failed stdout
-    is pointed at the null device, so the flush at interpreter exit cannot fail."""
+    """``path`` opened for writing text, or stdout when it is None.
+
+    A regular file, new or existing, is written to a new file beside it
+    (beside the file a symlink names), which replaces it once written and
+    closed: a write that fails leaves the old file, or none, and no partial
+    one.  Other targets (devices, FIFOs) are written in place.  An OSError
+    while opening, writing, closing or replacing becomes a ConfigError; a
+    failed stdout is pointed at the null device, so the flush at
+    interpreter exit cannot fail."""
+    staged = None
     try:
-        with (contextlib.nullcontext(sys.stdout) if path is None
-              else open(path, "w", encoding="utf-8")) as fh:
-            yield fh
-            fh.flush()
+        if path is None:
+            fh = contextlib.nullcontext(sys.stdout)
+        else:
+            try:
+                old = os.stat(path)
+            except FileNotFoundError:
+                old = None
+            if old is None or stat.S_ISREG(old.st_mode):
+                target = os.path.realpath(path)
+                fh, staged = _create_beside(target)
+            else:
+                fh = open(path, "w", encoding="utf-8")
+        with fh as out:
+            yield out
+            out.flush()
+        if staged is not None:
+            if old is not None:  # the permission bits that writing it in place keeps
+                os.chmod(staged, stat.S_IMODE(old.st_mode))
+            os.replace(staged, target)
+            staged = None
     except OSError as exc:
         if path is None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             path = "stdout"
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        if staged is not None:
+            with contextlib.suppress(OSError):
+                os.remove(staged)
 
 
 def _write_json(fh, value, level: int = 0) -> None:

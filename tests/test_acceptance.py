@@ -138,10 +138,9 @@ def test_criterion_08_intracell_coupling_maximum():
 
 
 def test_criterion_09_band_count_classifier():
-    count_25, _, _ = rp.coupled_band_count(rp.coupling_grid(rp.band_structure(paper_spec(d=2.5))),
-                                           threshold=0.05)
-    count_15, _, _ = rp.coupled_band_count(rp.coupling_grid(rp.band_structure(paper_spec(d=1.5))),
-                                           threshold=0.05)
+    # coupled_bands counts a band at 5 % of the peak coupling power
+    count_25, count_15 = (len(rp.coupled_bands(rp.coupling_grid(rp.band_structure(
+        paper_spec(d=d))))[0]) for d in (2.5, 1.5))
     ok = count_25 == 2 and count_15 >= 3
     criterion(9, ok, f"coupled bands at 5%: d=2.5 -> {count_25}, d=1.5 -> {count_15}")
 

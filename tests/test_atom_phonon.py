@@ -4,10 +4,10 @@ import pytest
 from rydphon import (
     BandStructure,
     ChainSpec,
+    CouplingGrid,
     ZeroFrequencyError,
     band_diagnostics,
     band_structure,
-    coupled_band_count,
     coupled_bands,
     coupling_grid,
     physical_coupling,
@@ -111,21 +111,26 @@ def test_trap_frequency_scaling_of_flat_band_coupling():
 
 def test_two_band_regime_at_large_spacing():
     grid = coupling_grid(band_structure(paper_spec(d=2.5)))
-    count, q_star, fractions = coupled_band_count(grid)
-    assert count == 2
-    assert coupled_bands(grid) == [1, 6]
+    labels, q_star, fractions = coupled_bands(grid)
+    assert labels == [1, 6]
     assert abs(q_star) == pytest.approx(np.pi / (2 * 2.5), abs=1e-12)
+    assert fractions.max() == 1.0
+    assert (fractions[[1, 2, 3, 4]] < 0.05).all()
 
 
 def test_multi_band_regime_at_small_spacing():
-    count, _, _ = coupled_band_count(coupling_grid(band_structure(paper_spec(d=1.5))))
-    assert count >= 3
+    labels, _, _ = coupled_bands(coupling_grid(band_structure(paper_spec(d=1.5))))
+    assert len(labels) >= 3
 
 
-def test_classifier_threshold_configurable():
-    grid = coupling_grid(band_structure(paper_spec(d=2.5)))
-    count_all, _, _ = coupled_band_count(grid, threshold=0.0)
-    assert count_all >= 4
+def test_no_coupled_bands_where_the_coupling_vanishes():
+    qs = np.array([-0.5, 0.0, 0.5])
+    zero = np.zeros((3, 6))
+    grid = CouplingGrid(q_grid=qs, m_complex=zero.astype(complex), m_abs=zero,
+                        rho0_values=np.ones(3), omega=np.ones((3, 6)), spec=paper_spec())
+    labels, q_star, fractions = coupled_bands(grid)
+    assert labels == [] and q_star == -0.5
+    assert np.array_equal(fractions, np.zeros(6))
 
 
 def test_coupling_continuity_between_grids():

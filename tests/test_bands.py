@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 from rydphon import (
     ChainSpec,
     ConfigError,
-    EdgeDetectionParams,
     ImaginaryFrequencyError,
     Topology,
     band_diagnostics,
     band_structure,
     detect_edge_modes,
-    dynamical_matrix,
     finite_spectrum,
     hessian,
     load_chain_spec,
@@ -23,6 +21,7 @@ from rydphon import (
     relax_finite,
     track_bands,
 )
+from rydphon import bands as bands_module
 from rydphon.bands import (
     DEFAULT_CUTOFF_CELLS,
     _best_permutations,
@@ -45,32 +44,35 @@ def test_q_grid_open_left_closed_right():
     assert np.any(qs == 0.0)
 
 
+def _bloch(qs, spec, deltas=np.zeros((2, 3))):
+    """Bloch matrices at the quasimomenta qs, summed over the default cutoff."""
+    return _dynamical_matrices(qs, spec, deltas, DEFAULT_CUTOFF_CELLS)
+
+
 def test_dynamical_matrix_flat_without_dipoles():
     spec = paper_spec(v_dd=0.0, nu=(1.0, 2.0, 3.0), mass=2.0)
-    d0 = dynamical_matrix(0.0, spec)
+    d0 = _bloch([0.0], spec)[0]
     expected = np.diag(np.tile(spec.mass * spec.nu_array**2, 2)).astype(complex)
     assert np.allclose(d0, expected, atol=1e-15)
 
 
 def test_dynamical_matrix_hermitian():
     spec = paper_spec()
-    for q in q_grid(spec, 16):
-        d = dynamical_matrix(q, spec)
+    for d in _bloch(q_grid(spec, 16), spec):
         assert np.abs(d - d.conj().T).max() < 1e-12
 
 
 def test_dynamical_matrix_conjugate_at_minus_q():
     spec = paper_spec(d=1.7)
-    for q in (0.1, 0.4, np.pi / spec.a):
-        assert np.allclose(dynamical_matrix(-q, spec), dynamical_matrix(q, spec).conj(),
-                           atol=1e-14)
+    qs = np.array([0.1, 0.4, np.pi / spec.a])
+    assert np.allclose(_bloch(-qs, spec), _bloch(qs, spec).conj(), atol=1e-14)
 
 
 def test_dynamical_matrix_accepts_bulk_equilibrium():
     spec = paper_spec()
     eq = relax_bulk(spec)
-    d_bare = dynamical_matrix(0.3, spec)
-    d_rel = dynamical_matrix(0.3, spec, bulk_eq=eq)
+    d_bare = _bloch([0.3], spec)[0]
+    d_rel = _bloch([0.3], spec, eq.deltas)[0]
     assert np.abs(d_bare - d_rel).max() > 1e-3
 
 
@@ -133,7 +135,7 @@ def test_sum_rule_against_trace():
     spec = paper_spec(d=2.2)
     bands = band_structure(spec, q_points=32)
     for k, q in enumerate(bands.q_grid):
-        trace = np.trace(dynamical_matrix(q, spec)).real / spec.mass
+        trace = np.trace(_bloch([q], spec)[0]).real / spec.mass
         assert abs((bands.omega[k] ** 2).sum() - trace) < 1e-10 * abs(trace)
 
 
@@ -272,17 +274,9 @@ def test_bulk_boundary_consistency_long_chain():
             assert np.abs(fs.frequencies - bands.omega[k, j]).min() < 1e-3
 
 
-def test_edge_params_are_configurable():
-    fs = finite_spectrum(
-        paper_spec(topology=Topology.TOPOLOGICAL),
-        params=EdgeDetectionParams(interior_margin=1e9, exterior_margin=1e9),
-    )
-    assert fs.n_edge_modes == 0
-
-
 def _edge_report_by_loop(modes, frequencies, band_edges, params):
     """Per-mode loop reference for detect_edge_modes' classification."""
-    decay = detect_edge_modes(modes, frequencies, band_edges, params).end_decay
+    decay = detect_edge_modes(modes, frequencies, band_edges).end_decay
     lo_all, hi_all = band_edges[:, 0].min(), band_edges[:, 1].max()
     n_modes = len(frequencies)
     flags = np.zeros(n_modes, dtype=bool)
@@ -297,24 +291,28 @@ def _edge_report_by_loop(modes, frequencies, band_edges, params):
         if out_by == 0.0:
             continue
         if lo_all < om < hi_all:
-            flags[m] = out_by > params.interior_margin
+            flags[m] = out_by > params["_INTERIOR_MARGIN"]
         else:
-            flags[m] = out_by > params.exterior_margin and decay[m] >= params.end_decay_threshold
+            flags[m] = (out_by > params["_EXTERIOR_MARGIN"]
+                        and decay[m] >= params["_END_DECAY_THRESHOLD"])
     return flags, nearest, gap_index
 
 
+# the fixed thresholds, then two sets that reach classifier branches they do not
 @pytest.mark.parametrize("params", [
-    EdgeDetectionParams(),
-    EdgeDetectionParams(interior_margin=1e-3, exterior_margin=1e-5, end_decay_threshold=1.2),
-    EdgeDetectionParams(interior_margin=0.0, exterior_margin=0.0, end_decay_threshold=3.0),
+    {"_INTERIOR_MARGIN": 1e-4, "_EXTERIOR_MARGIN": 1e-4, "_END_DECAY_THRESHOLD": 1.8},
+    {"_INTERIOR_MARGIN": 1e-3, "_EXTERIOR_MARGIN": 1e-5, "_END_DECAY_THRESHOLD": 1.2},
+    {"_INTERIOR_MARGIN": 0.0, "_EXTERIOR_MARGIN": 0.0, "_END_DECAY_THRESHOLD": 3.0},
 ])
 @pytest.mark.parametrize("n_cells,d,topology", [
     (7, 2.0, Topology.TOPOLOGICAL), (7, 1.6, Topology.TRIVIAL), (20, 2.0, Topology.TOPOLOGICAL),
 ])
-def test_edge_detection_matches_per_mode_loop(params, n_cells, d, topology):
+def test_edge_detection_matches_per_mode_loop(params, n_cells, d, topology, monkeypatch):
     spec = paper_spec(d=d, topology=topology, n_cells=n_cells)
     fs = finite_spectrum(spec, q_points=64)
-    report = detect_edge_modes(fs.modes, fs.frequencies, fs.band_edges, params)
+    for name, value in params.items():
+        monkeypatch.setattr(bands_module, name, value)
+    report = detect_edge_modes(fs.modes, fs.frequencies, fs.band_edges)
     flags, nearest, gap_index = _edge_report_by_loop(fs.modes, fs.frequencies,
                                                      fs.band_edges, params)
     assert np.array_equal(report.edge_flags, flags)
@@ -447,10 +445,11 @@ def _resolve_by_loop(lam, vec):
 @pytest.mark.parametrize("q_points", [32, 63])
 @pytest.mark.parametrize("topology", [Topology.TRIVIAL, Topology.TOPOLOGICAL])
 @pytest.mark.parametrize("d", [1.5, 1.7, 2.5])
-def test_track_bands_matches_per_step_loop(d, topology, q_points):
+def test_track_bands_matches_per_step_loop(d, topology, q_points, monkeypatch):
     bands = band_structure(paper_spec(d=d, topology=topology), q_points=q_points)
     for min_run in (1, 3):
-        assert np.array_equal(track_bands(bands, min_run), _track_bands_by_loop(bands, min_run))
+        monkeypatch.setattr(bands_module, "_MIN_RUN", min_run)
+        assert np.array_equal(track_bands(bands), _track_bands_by_loop(bands, min_run))
 
 
 def test_best_permutations_break_ties_in_itertools_order():

@@ -1,8 +1,9 @@
 import json
 import os
+import resource
+import stat
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import rydphon
 from rydphon.cli import main
 
-from conftest import paper_spec
+from conftest import child_env, paper_spec
 from rydphon.geometry import spec_to_dict
 
 
@@ -263,9 +264,7 @@ def test_unwritable_output_exits_two(tmp_path, capsys, argv, message):
 def _cli_process(argv, **kwargs):
     """``rydphon argv`` as a child process, stderr captured as text; its stdout
     is block-buffered, as it is by default when it is not a terminal."""
-    src = str(Path(rydphon.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.Popen([sys.executable, "-m", "rydphon.cli", *argv], env=env,
                             stderr=subprocess.PIPE, text=True, **kwargs)
@@ -282,6 +281,43 @@ def test_output_failing_while_written_exits_two(tmp_path, argv):
     assert proc.returncode == 2
     assert err.startswith("configuration error: cannot write /dev/full: No space left")
     assert "Traceback" not in err
+
+
+def _limit_file_size():
+    resource.setrlimit(resource.RLIMIT_FSIZE, (16384, 16384))
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+def test_file_failing_while_written_is_left_as_it_was(tmp_path, existed):
+    """Past 16 KiB every write fails with EFBIG; the model file is far larger."""
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "model.json"
+    if existed:
+        out.write_bytes(b"old bytes\n")
+    proc = _cli_process(["export", write_config(tmp_path), "--t", "1", "--U", "4", "--gcp", "0.5",
+                         "--out", str(out)], preexec_fn=_limit_file_size)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.startswith(f"configuration error: cannot write {out}: File too large")
+    assert "Traceback" not in err
+    assert [p.name for p in out_dir.iterdir()] == (["model.json"] if existed else [])
+    if existed:
+        assert out.read_bytes() == b"old bytes\n"
+
+
+def test_output_is_written_through_a_symlink_keeping_its_mode(tmp_path):
+    cfg = write_config(tmp_path)
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target.name)
+    assert main(["spectrum", cfg, "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert data_lines(target)[0] == "mode,omega,ipr,end_decay,edge_flag,nearest_band"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.json", "link.csv", "target.csv"]
 
 
 @pytest.mark.parametrize("command, n_cells, lines_read", [

@@ -17,7 +17,6 @@ from rydphon import (
     Topology,
     band_diagnostics,
     band_structure,
-    coupled_band_count,
     coupled_bands,
     coupling_grid,
     finite_spectrum,
@@ -111,7 +110,7 @@ def sweep_row(spec, q_points):
     row.append(model.J.get((1, 0), 0.0))
     row.append(model.J.get((1, 1), 0.0))
     row.extend(grid.m_abs.max(axis=0))
-    row.append(";".join(str(b) for b in coupled_bands(grid)) or "-")
+    row.append(";".join(str(b) for b in coupled_bands(grid)[0]) or "-")
     return row
 
 
@@ -132,10 +131,10 @@ def _reference_stdout(command, spec) -> str:
         return _csv(spec, G_HEADER, g_rows(model.g)) + _csv(spec, J_HEADER, j_rows(model.J))
     if command == "coupling":
         grid = coupling_grid(band_structure(spec, q_points=64))
-        count, q_star, _ = coupled_band_count(grid)
+        labels, q_star, _ = coupled_bands(grid)
         return (_csv(spec, COUPLING_HEADER, coupling_rows(grid),
-                     [f"coupled_bands={count} at q*={_fmt(q_star)}"])
-                + f"coupled_bands={count} bands={coupled_bands(grid)}\n")
+                     [f"coupled_bands={len(labels)} at q*={_fmt(q_star)}"])
+                + f"coupled_bands={len(labels)} bands={labels}\n")
     values = [float(v) for v in np.linspace(1.55, 2.25, 3)]
     rows = [[v, *sweep_row(spec.with_(d=v, a=2.0 * v), 64)] for v in values]
     return _csv(spec, SWEEP_HEADER, rows, ["param=d from=1.55 to=2.25 steps=3"])

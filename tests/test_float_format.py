@@ -11,17 +11,14 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import rydphon
 from rydphon.atom_phonon import CouplingGrid
 from rydphon.bands import BandStructure, q_grid
 from rydphon.model_export import (
@@ -33,7 +30,7 @@ from rydphon.model_export import (
     serialize,
 )
 
-from conftest import paper_spec
+from conftest import child_env, paper_spec
 
 TOKENS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
@@ -75,11 +72,8 @@ def test_tokens_of_drawn_floats_are_repr(floats):
 
 
 def test_importing_the_cli_does_not_load_orjson():
-    src = str(Path(rydphon.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, rydphon.cli; print('orjson' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                           text=True, timeout=60)
     assert proc.stdout.strip() == "False", proc.stderr
 

@@ -14,6 +14,7 @@ from rydphon import (
     local_phonon_model,
     trap_centers,
 )
+from rydphon import local_phonons
 
 from conftest import paper_spec
 
@@ -97,10 +98,10 @@ def test_aggregate_j_odd_separation_classes_differ():
     assert abs(model.J[(2, 0)] - model.J[(2, 1)]) < 1e-12
 
 
-def test_aggregate_j_excludes_outer_cells():
+def test_aggregate_j_excludes_outer_cells(monkeypatch):
     model = local_phonon_model(paper_spec(n_cells=8))
-    table = aggregate_J(model.g, exclude_outer_cells=0)
-    assert table[(1, 0)] != model.J[(1, 0)]
+    monkeypatch.setattr(local_phonons, "_EXCLUDE_OUTER_CELLS", 0)
+    assert aggregate_J(model.g)[(1, 0)] != model.J[(1, 0)]
 
 
 def test_j_decays_at_least_cubically():
@@ -146,8 +147,9 @@ def test_bogoliubov_rejects_unstable_form():
 
 
 @pytest.mark.parametrize("exclude", [0, 1, 2])
-def test_aggregate_j_matches_pairwise_loop(exclude):
+def test_aggregate_j_matches_pairwise_loop(exclude, monkeypatch):
     g = local_phonon_model(paper_spec(n_cells=9, topology=Topology.TOPOLOGICAL)).g
+    monkeypatch.setattr(local_phonons, "_EXCLUDE_OUTER_CELLS", exclude)
     sums = g.sum(axis=(1, 3))
     n_atoms = g.shape[0]
     lo, hi = exclude, n_atoms // 2 - exclude
@@ -158,5 +160,5 @@ def test_aggregate_j_matches_pairwise_loop(exclude):
                     if lo <= n // 2 < hi and lo <= (n + s) // 2 < hi]
             if vals:
                 expected[(s, cls)] = float(np.mean(vals))
-    assert aggregate_J(g, exclude_outer_cells=exclude) == expected
+    assert aggregate_J(g) == expected
 

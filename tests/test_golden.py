@@ -10,7 +10,14 @@ Re-record (only for a change that moves numbers on purpose) with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
-which also stores the git commit and a digest of ``src/rydphon``.
+which also stores the git commit and a digest of ``src/rydphon``.  A new
+case is added with
+
+    PYTHONPATH=src python tests/test_golden.py --record CASE...
+
+which records only the named cases and leaves every other case, ``commit``
+and ``src_sha256`` as they are; run it before the ``src/`` edit the case
+is to guard.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -74,18 +80,29 @@ def _cases() -> dict:
                                       ["g.csv", "j.csv"])
     cases["export-relax-q1024-trivial_d25"] = (["export", "{cfg}", "--q-points", "1024", *model,
                                                 "--relax", "--out", "model.json"], ["model.json"])
+    # m_y != 0: no pair Hessian or gradient entry is exactly zero by symmetry
+    cases["spectrum-relax-topological_phi03"] = (["spectrum", "{cfg}", "--relax",
+                                                  "--out", "spectrum.csv"], ["spectrum.csv"])
     return cases
 
 
 CASES = _cases()
 
 
+# configs written for a case: name -> (the config it edits, the edited fields)
+DERIVED = {
+    "topological_n20": ("topological_d2", {"n_cells": 20}),
+    "topological_n40": ("topological_d2", {"n_cells": 40}),
+    "topological_phi03": ("topological_d2", {"phi": 0.3}),
+}
+
+
 def _config(case_id: str, work: Path) -> Path:
-    cells = re.search(r"topological_n(\d+)$", case_id)
-    if cells:
-        data = json.loads((ROOT / "configs" / "topological_d2.json").read_text())
-        data["n_cells"] = int(cells.group(1))
-        path = work / f"topological_n{cells.group(1)}.json"
+    derived = next((n for n in DERIVED if case_id.endswith(n)), None)
+    if derived:
+        base, fields = DERIVED[derived]
+        data = {**json.loads((ROOT / "configs" / f"{base}.json").read_text()), **fields}
+        path = work / f"{derived}.json"
         path.write_text(json.dumps(data))
         return path
     name = next(n for n in CONFIGS if case_id.endswith(n))
@@ -176,26 +193,35 @@ def _git_commit() -> str:
     return proc.stdout.strip() or "unknown"
 
 
-def record() -> None:
+def record(case_ids=()) -> None:
+    """Record ``case_ids`` into golden.json, keeping every other case and the
+    recorded ``commit`` and ``src_sha256``; with none, record every case afresh."""
+    unknown = sorted(set(case_ids) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
     cases = {}
-    for case_id in sorted(CASES):
+    for case_id in sorted(case_ids or CASES):
         with tempfile.TemporaryDirectory() as work:
             result = run_case(case_id, Path(work))
             for name, entry in result["files"].items():
                 entry["columns"] = _column_summary(Path(work) / name)
         del result["stdout"]
         cases[case_id] = result
-    src = sorted((ROOT / "src" / "rydphon").glob("*.py"))
-    doc = {
-        "commit": _git_commit(),
-        "src_sha256": outputs.text_digest([outputs.digest(p) for p in src]),
-        "cases": cases,
-    }
+    if case_ids:
+        doc = _golden()
+        doc["cases"].update(cases)
+    else:
+        src = sorted((ROOT / "src" / "rydphon").glob("*.py"))
+        doc = {
+            "commit": _git_commit(),
+            "src_sha256": outputs.text_digest([outputs.digest(p) for p in src]),
+            "cases": cases,
+        }
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN} ({len(cases)} cases)")
+    print(f"wrote {GOLDEN} ({len(cases)} of {len(doc['cases'])} cases recorded)")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
-    record()
+    if sys.argv[1:2] != ["--record"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record [CASE...]")
+    record(sys.argv[2:])

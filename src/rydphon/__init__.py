@@ -33,7 +33,6 @@ from .potential import (
     fd_hessian,
     gradient,
     hessian,
-    pair_energy,
     total_energy,
 )
 from .equilibrium import BulkEquilibrium, relax_bulk, relax_finite

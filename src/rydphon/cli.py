@@ -53,7 +53,8 @@ def _write_table(path, spec: ChainSpec, columns: dict, comments=()):
     all have the same length.  Comment lines with the tool version, configuration
     hash, conventions and ``comments`` come first, then the names.  A float
     cell is its shortest round-trip ``repr``, from ``_float_tokens``; any
-    other cell is ``str`` of the array's ``.tolist()`` entry.
+    other cell (int, bool, text) is ``str`` of the array's ``.tolist()``
+    entry, formatted once per distinct value of a chunk by ``_str_tokens``.
     """
     cols = [np.asarray(c) for c in columns.values()]
     head = [f"rydphon {__version__}", f"config_hash={spec_digest(spec)}", _CONVENTIONS_COMMENT,
@@ -62,9 +63,15 @@ def _write_table(path, spec: ChainSpec, columns: dict, comments=()):
         fh.write("".join(f"# {line}\n" for line in head) + ",".join(columns) + "\n")
         for start in range(0, len(cols[0]), _CHUNK_ROWS):
             chunks = [c[start:start + _CHUNK_ROWS] for c in cols]
-            cells = [_float_tokens(c) if c.dtype.kind == "f" else map(str, c.tolist())
-                     for c in chunks]
+            cells = [_float_tokens(c) if c.dtype.kind == "f" else _str_tokens(c) for c in chunks]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _str_tokens(values: np.ndarray) -> np.ndarray:
+    """``str`` of every entry of ``values.tolist()``, as an object array; each
+    distinct value is formatted once."""
+    distinct, where = np.unique(values, return_inverse=True)
+    return np.array([str(v) for v in distinct.tolist()], dtype=object)[where]
 
 
 def _q_band_columns(q_grid: np.ndarray) -> dict:

@@ -116,7 +116,7 @@ def assemble(
     )
 
 
-_ONE_DIGIT_NEGATIVE_EXPONENT = re.compile(r"e-(\d)(?!\d)")
+_ONE_DIGIT_NEGATIVE_EXPONENT = re.compile(r"e-(?=\d(?!\d))")
 _POSITIVE_EXPONENT = re.compile(r"e(?=\d)")
 
 
@@ -125,7 +125,9 @@ def _float_tokens(values) -> list[str]:
 
     orjson writes the same shortest round-trip digits as ``repr``, but
     spells exponents ``e-7`` and ``e16`` where ``repr`` writes ``e-07`` and
-    ``e+16``; both are rewritten in the text.  It writes 1e-5 <= |x| < 1e-4
+    ``e+16``; both are rewritten in the text with fixed replacement strings
+    (the patterns match only the ``e-`` or ``e`` before the digits, so no
+    template is expanded per match).  It writes 1e-5 <= |x| < 1e-4
     positionally and non-finite values as ``null``; those take ``repr``
     one by one.
     """
@@ -135,7 +137,7 @@ def _float_tokens(values) -> list[str]:
     if not flat.size:
         return []
     text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    text = _POSITIVE_EXPONENT.sub("e+", _ONE_DIGIT_NEGATIVE_EXPONENT.sub(r"e-0\1", text))
+    text = _POSITIVE_EXPONENT.sub("e+", _ONE_DIGIT_NEGATIVE_EXPONENT.sub("e-0", text))
     tokens = text[1:-1].split(",")
     magnitude = np.abs(flat)
     for i in np.flatnonzero(~np.isfinite(flat) | ((magnitude >= 1e-5) & (magnitude < 1e-4))):
@@ -194,31 +196,45 @@ def _create_beside(target: str):
             continue
 
 
+def _is_stdout(st: os.stat_result) -> bool:
+    """Whether ``st`` describes the file that stdout writes to."""
+    try:
+        out = os.fstat(sys.stdout.fileno())
+    except OSError:  # a stdout with no file descriptor, such as io.StringIO
+        return False
+    return (st.st_dev, st.st_ino) == (out.st_dev, out.st_ino)
+
+
 @contextlib.contextmanager
 def _open_output(path):
     """``path`` opened for writing text, or stdout when it is None.
 
-    A regular file, new or existing, is written to a new file beside it
-    (beside the file a symlink names), which replaces it once written and
-    closed: a write that fails leaves the old file, or none, and no partial
-    one.  Other targets (devices, FIFOs) are written in place.  An OSError
-    while opening, writing, closing or replacing becomes a ConfigError; a
-    failed stdout is pointed at the null device, so the flush at
-    interpreter exit cannot fail."""
+    A path that names the file stdout writes to (``/dev/stdout``, or the
+    file it is redirected to) is written through stdout, so the table and
+    the lines printed after it land in order.  Any other regular file, new
+    or existing, is written to a new file beside it (beside the file a
+    symlink names), which replaces it once written and closed: a write that
+    fails leaves the old file, or none, and no partial one.  Other targets
+    (devices, FIFOs) are written in place.  An OSError while opening,
+    writing, closing or replacing becomes a ConfigError; a failed stdout is
+    pointed at the null device, so the flush at interpreter exit cannot
+    fail."""
     staged = None
+    to_stdout = path is None
     try:
-        if path is None:
-            fh = contextlib.nullcontext(sys.stdout)
-        else:
+        if path is not None:
             try:
                 old = os.stat(path)
             except FileNotFoundError:
                 old = None
-            if old is None or stat.S_ISREG(old.st_mode):
-                target = os.path.realpath(path)
-                fh, staged = _create_beside(target)
-            else:
-                fh = open(path, "w", encoding="utf-8")
+            to_stdout = old is not None and _is_stdout(old)
+        if to_stdout:
+            fh = contextlib.nullcontext(sys.stdout)
+        elif old is None or stat.S_ISREG(old.st_mode):
+            target = os.path.realpath(path)
+            fh, staged = _create_beside(target)
+        else:
+            fh = open(path, "w", encoding="utf-8")
         with fh as out:
             yield out
             out.flush()
@@ -228,10 +244,9 @@ def _open_output(path):
             os.replace(staged, target)
             staged = None
     except OSError as exc:
-        if path is None:
+        if to_stdout:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            path = "stdout"
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise ConfigError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}") from None
     finally:
         if staged is not None:
             with contextlib.suppress(OSError):

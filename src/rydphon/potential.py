@@ -27,16 +27,6 @@ class EnergyReport:
     dipole_part: float
 
 
-def pair_energy(r, m_hat, v_dd: float) -> float:
-    """Dipole-dipole energy of one pair separated by r, dipoles along m_hat."""
-    r = np.asarray(r, dtype=float)
-    rnorm = float(np.linalg.norm(r))
-    if rnorm < MIN_SEPARATION:
-        raise CoincidentAtomsError(f"zero separation between dipoles (|r| = {rnorm:g})")
-    cos = float(np.dot(m_hat, r)) / rnorm
-    return v_dd * (1.0 - 3.0 * cos * cos) / rnorm**3
-
-
 def _pair_geometry(positions: np.ndarray, m_hat: np.ndarray):
     """Separation vectors, norms and m-projections for all unordered pairs."""
     n = positions.shape[0]
@@ -71,21 +61,33 @@ def _pair_gradients(rvec, rnorm, s, m_hat, v_dd):
     )
 
 
+# the upper triangle (a <= b) of a 3x3 block, row by row
+_UPPER = np.triu_indices(3)
+
+
 def _pair_hessians(rvec, rnorm, s, m_hat, v_dd):
-    """(P, 3, 3) second derivatives of each pair energy with respect to r."""
+    """(P, 3, 3) second derivatives of each pair energy with respect to r.
+
+    Entry (a, b) is v_dd * [(2 - 5u)/r^5 delta_ab - 6/r^5 m_a m_b
+    + 30 s/r^7 (m_a r_b + r_a m_b) + (35u - 20)/r^7 r_a r_b], u = 1 - 3 s^2/r^2.
+    Every product and sum in it is the same with a and b swapped, so the
+    block is exactly symmetric: the 6 entries with a <= b are computed and
+    mirrored.
+    """
     inv5 = rnorm**-5
     inv7 = rnorm**-7
     u = 1.0 - 3.0 * (s / rnorm) ** 2
-    eye = np.eye(3)
-    mm = np.outer(m_hat, m_hat)
-    mr = m_hat[None, :, None] * rvec[:, None, :] + rvec[:, :, None] * m_hat[None, None, :]
-    rr = rvec[:, :, None] * rvec[:, None, :]
-    return v_dd * (
-        ((2.0 - 5.0 * u) * inv5)[:, None, None] * eye
-        - (6.0 * inv5)[:, None, None] * mm
-        + (30.0 * s * inv7)[:, None, None] * mr
-        + ((35.0 * u - 20.0) * inv7)[:, None, None] * rr
+    a, b = _UPPER
+    upper = v_dd * (
+        ((2.0 - 5.0 * u) * inv5)[:, None] * np.eye(3)[a, b]
+        - (6.0 * inv5)[:, None] * (m_hat[a] * m_hat[b])
+        + (30.0 * s * inv7)[:, None] * (m_hat[a] * rvec[:, b] + rvec[:, a] * m_hat[b])
+        + ((35.0 * u - 20.0) * inv7)[:, None] * (rvec[:, a] * rvec[:, b])
     )
+    out = np.empty((len(rnorm), 3, 3))
+    out[:, a, b] = upper
+    out[:, b, a] = upper
+    return out
 
 
 def _energy_components(positions, centers, nu, mass, m_hat, v_dd):
@@ -113,13 +115,14 @@ def gradient(config: Configuration, spec: ChainSpec) -> np.ndarray:
     positions = config.positions
     centers = trap_centers(spec).positions
     nu2 = spec.nu_array**2
-    grad = spec.mass * nu2[None, :] * (positions - centers)
+    grad = (spec.mass * nu2[None, :] * (positions - centers)).reshape(-1)
     if spec.v_dd != 0.0 and positions.shape[0] > 1:
         iu, ju, rvec, rnorm, s = _pair_geometry(positions, spec.m_hat)
         g = _pair_gradients(rvec, rnorm, s, spec.m_hat, spec.v_dd)
-        np.add.at(grad, iu, g)
-        np.add.at(grad, ju, -g)
-    return grad.reshape(-1)
+        # a flat (3N,) target takes np.add.at's fast one-dimensional path
+        for atoms, part in ((iu, g), (ju, -g)):
+            np.add.at(grad, (3 * atoms[:, None] + np.arange(3)).ravel(), part.ravel())
+    return grad
 
 
 def hessian(config: Configuration, spec: ChainSpec) -> np.ndarray:

@@ -22,7 +22,7 @@ EXPORTED = {
     "base_offsets", "bogoliubov_frequencies", "coupled_bands", "coupling_grid",
     "coupling_matrices", "deserialize", "detect_edge_modes", "dipole_unit", "fd_gradient",
     "fd_hessian", "finite_spectrum", "gradient", "hessian", "load_chain_spec",
-    "local_frequencies", "local_phonon_model", "magic_angle", "pair_energy", "physical_coupling",
+    "local_frequencies", "local_phonon_model", "magic_angle", "physical_coupling",
     "q_grid", "relax_bulk", "relax_finite", "rho0", "serialize", "spec_digest", "spec_from_dict",
     "spec_to_dict", "total_energy", "track_bands", "trap_centers",
 }

@@ -320,6 +320,24 @@ def test_output_is_written_through_a_symlink_keeping_its_mode(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.json", "link.csv", "target.csv"]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_out_dev_stdout_keeps_the_summary_after_the_table(tmp_path):
+    """``--out /dev/stdout > f.csv``: the table and then the summary line, both in f.csv."""
+    out = tmp_path / "f.csv"
+    with open(out, "w") as fh:
+        proc = _cli_process(["spectrum", write_config(tmp_path, topology="topological"),
+                             "--out", "/dev/stdout"], stdout=fh)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    lines = out.read_text().splitlines()
+    assert lines[0] == f"# rydphon {rydphon.__version__}"
+    assert lines[-1].startswith("modes=42 edge_modes=")
+    table = [ln for ln in lines[:-1] if not ln.startswith("#")]
+    assert table[0] == "mode,omega,ipr,end_decay,edge_flag,nearest_band"
+    assert [int(ln.split(",")[0]) for ln in table[1:]] == list(range(42))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.json", "f.csv"]
+
+
 @pytest.mark.parametrize("command, n_cells, lines_read", [
     ("local", 40, 1),   # 80 atoms: the g table (about 1.5 MB) fails in a write
     ("check", 7, 0),    # its few lines fail when stdout is flushed at the end

@@ -26,7 +26,7 @@ from rydphon import (
 from rydphon import __version__, cli
 from rydphon.cli import main
 from rydphon.geometry import spec_to_dict
-from rydphon.model_export import CONVENTIONS
+from rydphon.model_export import CONVENTIONS, _float_tokens
 
 from conftest import paper_spec
 
@@ -204,3 +204,37 @@ def test_float_column_spellings_match_row_path(tmp_path):
     cli._write_table(out, spec, {"k": np.arange(len(values)), "label": labels, "value": values})
     rows = zip(range(len(values)), labels, values)
     assert out.read_text() == _csv(spec, "k,label,value", rows)
+
+
+def _tolist_text(spec, columns: dict) -> str:
+    """The table the writer wrote when every non-float cell was ``str`` of its
+    column's ``.tolist()`` entry."""
+    cells = [_float_tokens(c) if c.dtype.kind == "f" else list(map(str, c.tolist()))
+             for c in map(np.asarray, columns.values())]
+    rows = "".join(",".join(row) + "\n" for row in zip(*cells))
+    return _csv(spec, ",".join(columns), []) + rows
+
+
+def test_non_float_columns_match_str_of_tolist(tmp_path):
+    """Negative and multi-chunk ints, bools, numpy strings and columns built from
+    lists, including chunks that hold one distinct value."""
+    n = 2 * cli._CHUNK_ROWS + 123
+    k = np.arange(n)
+    ints = (k * 7919) % 2001 - 1000
+    columns = {
+        "int": ints,
+        "wide": np.where(k % 3 == 0, np.iinfo(np.int64).min, np.iinfo(np.int64).max - k),
+        "unsigned": (k % 5).astype(np.uint8),
+        "constant": np.full(n, -3),
+        "flag": k % 3 == 1,
+        "axis": np.array(["x", "y", "z"])[k % 3],
+        "words": np.array(["-", "1-2", "4-6;5-6", ""])[(k // 1000) % 4],
+        "listed_int": [int(v) for v in ints],
+        "listed_text": [f"{v % 7}-{v % 5}" for v in k.tolist()],
+        "listed_bool": [bool(v % 2) for v in k.tolist()],
+        "value": np.sin(k.astype(float)),
+    }
+    spec = paper_spec()
+    out = tmp_path / "t.csv"
+    cli._write_table(out, spec, columns)
+    assert out.read_text().splitlines() == _tolist_text(spec, columns).splitlines()

@@ -57,6 +57,17 @@ def test_special_values_are_spelled_as_repr():
     assert _float_tokens(np.array([])) == []
 
 
+@pytest.mark.parametrize("exponent", range(1, 10))
+def test_one_digit_negative_exponents_gain_one_zero(exponent):
+    """orjson's e-7 becomes repr's e-07, as the last token (before its ']') and
+    elsewhere; e-10, e-99, e-100 and e-324 beside it gain nothing."""
+    short = [mantissa * 10.0**-exponent for mantissa in (1.0, -7.25, 9.999)]
+    longer = [1e-10, -3.5e-10, 2.5e-99, 1e-100, -4.75e-123, 3e-300, 5e-324]
+    for values in (short + longer, longer + short, [short[1]], [longer[2], short[0]]):
+        values = np.array(values)
+        assert _float_tokens(values) == _reprs(values)
+
+
 @TOKENS
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
 def test_tokens_of_raw_bit_patterns_are_repr(bits):

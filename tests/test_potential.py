@@ -8,22 +8,24 @@ from rydphon import (
     CoincidentAtomsError,
     Configuration,
     NonFiniteMatrixError,
-    dipole_unit,
     fd_gradient,
     fd_hessian,
     gradient,
     hessian,
     magic_angle,
-    pair_energy,
     relax_finite,
     total_energy,
     trap_centers,
 )
-from rydphon.potential import _PAIR_CHUNK, _energy_components, _pair_geometry, _pair_hessians
+from rydphon.potential import (
+    _PAIR_CHUNK,
+    _energy_components,
+    _pair_geometry,
+    _pair_gradients,
+    _pair_hessians,
+)
 
 from conftest import paper_spec
-
-Z_HAT = np.array([0.0, 0.0, 1.0])
 
 
 def perturbed(spec, rng, scale=0.05):
@@ -31,22 +33,28 @@ def perturbed(spec, rng, scale=0.05):
     return Configuration(pos, 0.0, False)
 
 
+def two_atom_dipole_energy(r, theta):
+    """Dipolar energy (v_dd = 1) of two atoms separated by r, dipoles at polar angle theta."""
+    spec = ChainSpec(n_cells=1, d=2.0, theta=theta, v_dd=1.0)
+    config = Configuration(np.array([r, [0.0, 0.0, 0.0]]), 0.0, False)
+    return total_energy(config, spec).dipole_part
+
+
 def test_pair_energy_head_to_tail():
-    assert abs(pair_energy([0.0, 0.0, 1.0], Z_HAT, 1.0) + 2.0) < 1e-15
+    assert abs(two_atom_dipole_energy([0.0, 0.0, 1.0], 0.0) + 2.0) < 1e-15
 
 
 def test_pair_energy_perpendicular():
-    assert abs(pair_energy([2.0, 0.0, 0.0], Z_HAT, 1.0) - 0.125) < 1e-15
+    assert abs(two_atom_dipole_energy([2.0, 0.0, 0.0], 0.0) - 0.125) < 1e-15
 
 
 def test_pair_energy_magic_angle_along_chain():
-    m = dipole_unit(magic_angle(), 0.0)
-    assert abs(pair_energy([0.0, 0.0, 1.0], m, 1.0)) < 1e-14
+    assert abs(two_atom_dipole_energy([0.0, 0.0, 1.0], magic_angle())) < 1e-14
 
 
 def test_pair_energy_rejects_zero_separation():
     with pytest.raises(CoincidentAtomsError):
-        pair_energy([0.0, 0.0, 0.0], Z_HAT, 1.0)
+        two_atom_dipole_energy([0.0, 0.0, 0.0], 0.0)
 
 
 def test_total_energy_zero_at_centers_without_dipoles():
@@ -69,7 +77,9 @@ def test_two_atom_dipole_part_is_single_pair_energy():
     config = trap_centers(spec)
     report = total_energy(config, spec)
     r = config.positions[0] - config.positions[1]
-    assert abs(report.dipole_part - pair_energy(r, spec.m_hat, spec.v_dd)) < 1e-15
+    rnorm = float(np.linalg.norm(r))
+    cos = float(np.dot(spec.m_hat, r)) / rnorm
+    assert abs(report.dipole_part - spec.v_dd * (1.0 - 3.0 * cos * cos) / rnorm**3) < 1e-15
 
 
 def test_energy_report_identity(rng):
@@ -126,14 +136,81 @@ def test_hessian_pure_traps_is_diagonal():
     assert np.array_equal(h, expected)
 
 
+def _pair_hessians_9(rvec, rnorm, s, m_hat, v_dd):
+    """The 9-entry pair Hessian formula that _pair_hessians replaced."""
+    inv5 = rnorm**-5
+    inv7 = rnorm**-7
+    u = 1.0 - 3.0 * (s / rnorm) ** 2
+    eye = np.eye(3)
+    mm = np.outer(m_hat, m_hat)
+    mr = m_hat[None, :, None] * rvec[:, None, :] + rvec[:, :, None] * m_hat[None, None, :]
+    rr = rvec[:, :, None] * rvec[:, None, :]
+    return v_dd * (
+        ((2.0 - 5.0 * u) * inv5)[:, None, None] * eye
+        - (6.0 * inv5)[:, None, None] * mm
+        + (30.0 * s * inv7)[:, None, None] * mr
+        + ((35.0 * u - 20.0) * inv7)[:, None, None] * rr
+    )
+
+
+def _gradient_by_row_add_at(config, spec):
+    """The gradient() that summed pair gradients with np.add.at on the (N, 3) target."""
+    positions = config.positions
+    grad = spec.mass * spec.nu_array[None, :] ** 2 * (positions - trap_centers(spec).positions)
+    if spec.v_dd != 0.0 and positions.shape[0] > 1:
+        iu, ju, rvec, rnorm, s = _pair_geometry(positions, spec.m_hat)
+        g = _pair_gradients(rvec, rnorm, s, spec.m_hat, spec.v_dd)
+        np.add.at(grad, iu, g)
+        np.add.at(grad, ju, -g)
+    return grad.reshape(-1)
+
+
+def _kernel_positions(phi):
+    """Named position sets: trap centers and the relaxed chain have exact zeros in
+    r_y; the random ones none; the last has more pairs than one _PAIR_CHUNK."""
+    rng = np.random.default_rng(7)
+    spec = paper_spec(topology="topological", phi=phi)
+    centers = trap_centers(spec).positions
+    many = trap_centers(paper_spec(n_cells=46, d=2.2)).positions
+    return {
+        "trap-centers": centers,
+        "random": centers + 0.05 * rng.standard_normal(centers.shape),
+        "relaxed": relax_finite(spec).positions,
+        "more-pairs-than-a-chunk": many + 0.05 * rng.standard_normal(many.shape),
+    }
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.3])
+@pytest.mark.parametrize("theta", [0.0, magic_angle(), math.pi / 2], ids=["0", "magic", "pi/2"])
+def test_pair_kernels_match_their_earlier_forms_bit_for_bit(theta, phi):
+    """_pair_hessians against the 9-entry formula and gradient() against the
+    row-wise np.add.at, as bytes, so every signed zero counts; v_dd = 0 gives
+    signed zeros throughout."""
+    for where, positions in _kernel_positions(phi).items():
+        n_cells = len(positions) // 2
+        for v_dd in (1.0, 0.0):
+            spec = paper_spec(n_cells=n_cells, theta=theta, phi=phi, v_dd=v_dd,
+                              d=2.2 if n_cells == 46 else 2.0, topology="topological")
+            _, _, rvec, rnorm, s = _pair_geometry(positions, spec.m_hat)
+            if where == "more-pairs-than-a-chunk":
+                assert len(rnorm) > _PAIR_CHUNK
+            new = _pair_hessians(rvec, rnorm, s, spec.m_hat, v_dd)
+            old = _pair_hessians_9(rvec, rnorm, s, spec.m_hat, v_dd)
+            assert new.tobytes() == old.tobytes(), (where, v_dd)
+            cfg = Configuration(positions, 0.0, False)
+            assert gradient(cfg, spec).tobytes() == _gradient_by_row_add_at(cfg, spec).tobytes(), \
+                (where, v_dd)
+
+
 def _hessian_by_add_at(config, spec):
-    """The (N, N, 3, 3) np.add.at assembly that hessian() replaced."""
+    """The (N, N, 3, 3) np.add.at assembly of the 9-entry pair Hessians that
+    hessian() replaced."""
     positions = config.positions
     n = positions.shape[0]
     blocks = np.zeros((n, n, 3, 3))
     if spec.v_dd != 0.0 and n > 1:
         iu, ju, rvec, rnorm, s = _pair_geometry(positions, spec.m_hat)
-        hp = _pair_hessians(rvec, rnorm, s, spec.m_hat, spec.v_dd)
+        hp = _pair_hessians_9(rvec, rnorm, s, spec.m_hat, spec.v_dd)
         np.add.at(blocks, (iu, iu), hp)
         np.add.at(blocks, (ju, ju), hp)
         np.add.at(blocks, (iu, ju), -hp)

@@ -166,8 +166,9 @@ def _gradient_by_row_add_at(config, spec):
 
 
 def _kernel_positions(phi):
-    """Named position sets: trap centers and the relaxed chain have exact zeros in
-    r_y; the random ones none; the last has more pairs than one _PAIR_CHUNK."""
+    """Named position sets: trap centers have r_y = 0 exactly, and so does the
+    relaxed chain at phi = 0 (not at 0.3); the random ones have no zeros; the
+    last has more pairs than one _PAIR_CHUNK."""
     rng = np.random.default_rng(7)
     spec = paper_spec(topology="topological", phi=phi)
     centers = trap_centers(spec).positions

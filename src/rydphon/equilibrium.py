@@ -8,6 +8,14 @@ an Armijo backtracking search has lowered the energy.  ``relax_finite``
 returns the Hessian at the solution with the relaxed positions; the
 relaxed finite spectrum and local-phonon model use it as their harmonic
 matrix, so each relaxed chain's Hessian is built once.
+
+Each Newton step solves H p = -g with ``np.linalg.solve``, once H is known
+to be positive definite.  The proof is tried cheapest first: a Gershgorin
+certificate (``_certified_positive_definite``: positive diagonal, strictly
+dominant rows, by a margin above rounding), which costs O(n^2) and holds at
+every Newton iterate of the relaxable chains; then a Cholesky factorization,
+used only as a test; and when that fails, H is shifted by 1.1 |lambda_min|
++ 1e-8 toward steepest descent.  The first two give the same step.
 """
 
 from __future__ import annotations
@@ -108,14 +116,47 @@ def _newton_descent(x, evaluate, cap, tol, max_iter, what, iterate):
 
 
 def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Newton step, shifted toward steepest descent if the Hessian is indefinite."""
+    """Newton step, shifted toward steepest descent if the Hessian is indefinite.
+
+    The step is ``np.linalg.solve(hess, -grad)`` when hess is positive
+    definite: proved first by ``_certified_positive_definite``, and only when
+    that certificate fails by ``np.linalg.cholesky``, whose factor is not
+    used.  A certified matrix is one whose Cholesky factorization succeeds,
+    so both proofs give the same step.  Otherwise (including a NaN entry)
+    hess is shifted by 1.1 |lambda_min| + 1e-8 before the solve.
+    """
     try:
-        np.linalg.cholesky(hess)
+        if not _certified_positive_definite(hess):
+            np.linalg.cholesky(hess)
         return np.linalg.solve(hess, -grad)
     except np.linalg.LinAlgError:
         min_eig = float(np.linalg.eigvalsh(hess).min())
         shift = 1.1 * abs(min_eig) + 1e-8
         return np.linalg.solve(hess + shift * np.eye(hess.shape[0]), -grad)
+
+
+def _certified_positive_definite(hess: np.ndarray) -> bool:
+    """True when a Gershgorin test proves that np.linalg.cholesky(hess) succeeds.
+
+    Cholesky reads only the lower triangle, so the test is made on the
+    symmetric matrix S it defines: every row of S must have a diagonal entry
+    above the sum r_i of its off-diagonal magnitudes by more than
+    tol = 2 (n+1)^2 eps max_i(|s_ii| + r_i).  A symmetric matrix with a positive
+    diagonal and strictly dominant rows is positive definite.  The margin
+    covers the rounding of the row sums (at most n eps r_i), and beyond it
+    lambda_min(D^-1/2 S D^-1/2) >= min_i(s_ii - r_i) / max_i s_ii exceeds
+    Demmel's n(n+1) eps bound under which floating-point Cholesky runs to
+    completion (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 10).  A NaN or infinite entry fails the comparison.  Costs O(n^2),
+    against O(n^3) for the factorization.
+    """
+    n = hess.shape[0]
+    lower = np.tril(hess, -1)
+    np.abs(lower, out=lower)
+    radius = lower.sum(axis=1) + lower.sum(axis=0)
+    diag = hess.diagonal()
+    tol = 2.0 * (n + 1) ** 2 * np.finfo(float).eps * float((np.abs(diag) + radius).max())
+    return bool(np.all(diag - radius > tol))
 
 
 def _step_cap(spec: ChainSpec) -> float:

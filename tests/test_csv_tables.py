@@ -155,11 +155,18 @@ def _config(tmp_path, spec) -> str:
     return str(path)
 
 
+def _lines(text: str) -> list:
+    """The text's lines with their endings: equal lists mean equal texts, and a
+    failing comparison reports the first differing line at once, where a
+    whole-text comparison of a large table makes pytest build a slow diff."""
+    return text.splitlines(keepends=True)
+
+
 @pytest.mark.parametrize("command", sorted(_ARGS))
 def test_stdout_table_matches_row_path(tmp_path, capsys, command):
     spec = paper_spec(topology=Topology.TOPOLOGICAL) if command == "spectrum" else paper_spec()
     assert main([command, _config(tmp_path, spec), *_ARGS[command]]) == 0
-    assert capsys.readouterr().out == _reference_stdout(command, spec)
+    assert _lines(capsys.readouterr().out) == _lines(_reference_stdout(command, spec))
 
 
 def test_sweep_text_columns_match_row_path(tmp_path, capsys):
@@ -178,8 +185,8 @@ def test_g_table_longer_than_two_chunks_matches_row_path(tmp_path):
     assert main(["local", _config(tmp_path, spec), "--out-g", str(out_g), "--out-j", str(out_j)]) == 0
     model = local_phonon_model(spec)
     assert model.g.size > 2 * cli._CHUNK_ROWS
-    assert out_g.read_text() == _csv(spec, G_HEADER, g_rows(model.g))
-    assert out_j.read_text() == _csv(spec, J_HEADER, j_rows(model.J))
+    assert _lines(out_g.read_text()) == _lines(_csv(spec, G_HEADER, g_rows(model.g)))
+    assert _lines(out_j.read_text()) == _lines(_csv(spec, J_HEADER, j_rows(model.J)))
 
 
 def test_empty_j_table_is_header_only(tmp_path):
@@ -187,7 +194,7 @@ def test_empty_j_table_is_header_only(tmp_path):
     out_g, out_j = tmp_path / "g.csv", tmp_path / "j.csv"
     assert main(["local", _config(tmp_path, spec), "--out-g", str(out_g), "--out-j", str(out_j)]) == 0
     assert local_phonon_model(spec).J == {}
-    assert out_j.read_text() == _csv(spec, J_HEADER, [])
+    assert _lines(out_j.read_text()) == _lines(_csv(spec, J_HEADER, []))
     assert out_j.read_text().splitlines()[-1] == J_HEADER
 
 
@@ -203,7 +210,7 @@ def test_float_column_spellings_match_row_path(tmp_path):
     out = tmp_path / "t.csv"
     cli._write_table(out, spec, {"k": np.arange(len(values)), "label": labels, "value": values})
     rows = zip(range(len(values)), labels, values)
-    assert out.read_text() == _csv(spec, "k,label,value", rows)
+    assert _lines(out.read_text()) == _lines(_csv(spec, "k,label,value", rows))
 
 
 def _tolist_text(spec, columns: dict) -> str:

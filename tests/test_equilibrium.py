@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from rydphon import (
 )
 from rydphon import equilibrium
 from rydphon.bands import _freqs_from_lambda
-from rydphon.equilibrium import _solve_bulk
+from rydphon.equilibrium import _certified_positive_definite, _newton_direction, _solve_bulk
+from rydphon.geometry import load_chain_spec
 
 from conftest import paper_spec
 
@@ -247,3 +250,102 @@ def test_relaxed_pipelines_relax_once_and_skip_eigvalsh(monkeypatch, topology):
     assert len(calls) == 1
     local_phonon_model(spec, relax=True)
     assert len(calls) == 2
+
+
+def _cholesky_must_not_run(*args, **kwargs):
+    raise AssertionError("np.linalg.cholesky ran on a certified Hessian")
+
+
+def _counting_cholesky(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(matrix):
+        calls.append(matrix)
+        return cholesky(matrix)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
+def test_dominant_hessian_steps_without_cholesky(monkeypatch, rng):
+    n = 30
+    off = rng.uniform(-1.0, 1.0, (n, n))
+    hess = (off + off.T) / 2.0
+    np.fill_diagonal(hess, np.abs(hess).sum(axis=1) + 0.1)
+    grad = rng.normal(size=n)
+    expected = np.linalg.solve(hess, -grad)
+    monkeypatch.setattr(np.linalg, "cholesky", _cholesky_must_not_run)
+    assert _newton_direction(hess, grad).tobytes() == expected.tobytes()
+
+
+def test_definite_but_not_dominant_hessian_takes_the_cholesky_test(monkeypatch):
+    hess = np.full((3, 3), 0.9)
+    np.fill_diagonal(hess, 1.0)  # eigenvalues 2.8, 0.1, 0.1; rows not dominant
+    grad = np.array([1.0, -2.0, 0.5])
+    expected = np.linalg.solve(hess, -grad)
+    calls = _counting_cholesky(monkeypatch)
+    assert _newton_direction(hess, grad).tobytes() == expected.tobytes()
+    assert len(calls) == 1
+
+
+def test_indefinite_hessian_takes_the_shifted_step(monkeypatch):
+    hess = np.array([[1.0, 0.2, 0.0], [0.2, -0.5, 0.1], [0.0, 0.1, 2.0]])
+    grad = np.array([0.3, -1.0, 0.7])
+    # the shifted step as _newton_direction computed it before the certificate
+    shift = 1.1 * abs(float(np.linalg.eigvalsh(hess).min())) + 1e-8
+    expected = np.linalg.solve(hess + shift * np.eye(3), -grad)
+    calls = _counting_cholesky(monkeypatch)
+    assert _newton_direction(hess, grad).tobytes() == expected.tobytes()
+    assert len(calls) == 1
+
+
+_VERDICTS = {
+    "dominant": (np.array([[2.0, -0.5, 0.5], [-0.5, 2.0, 1.0], [0.5, 1.0, 2.0]]), True),
+    "off-diagonals-0.9": (np.array([[1.0, 0.9, 0.9], [0.9, 1.0, 0.9], [0.9, 0.9, 1.0]]), False),
+    # positive definite, but dominant by 1e-15, inside the rounding margin
+    "margin-below-rounding": (np.array([[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]]), False),
+    # rows of the full matrix are dominant; the lower triangle Cholesky reads is not
+    "upper-triangle-ignored": (np.array([[2.0, 0.0], [3.0, 4.0]]), False),
+    "lower-triangle-read": (np.array([[2.0, 5.0], [1.0, 2.0]]), True),
+    "negative-diagonal": (np.array([[-2.0, 0.5], [0.5, -2.0]]), False),
+    "zero": (np.zeros((2, 2)), False),
+    "nan": (np.array([[2.0, np.nan], [np.nan, 2.0]]), False),
+    "inf-off-diagonal": (np.array([[2.0, np.inf], [np.inf, 2.0]]), False),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", _VERDICTS)
+def test_certificate_verdicts(case):
+    hess, certified = _VERDICTS[case]
+    assert _certified_positive_definite(hess) is certified
+    if certified:
+        np.linalg.cholesky(hess)
+
+
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# trivial_d15 lies below the relaxed chain's existence edge (d = 1.88448)
+_CERTIFIED_CHAINS = {
+    **{f"{name}-20cells": dataclasses.replace(load_chain_spec(_CONFIGS / f"{name}.json"),
+                                              n_cells=20)
+       for name in ("default", "topological_d2", "trivial_d25")},
+    # the two chains of the finite_relaxed benchmark workload at its default seed
+    "trivial-250cells-d2.5": ChainSpec(n_cells=250, d=2.5),
+    "topological-250cells-d2": ChainSpec(n_cells=250, d=2.0, topology=Topology.TOPOLOGICAL),
+}
+
+
+@pytest.mark.parametrize("case", _CERTIFIED_CHAINS)
+def test_every_newton_step_of_a_relaxable_chain_is_certified(monkeypatch, case):
+    verdicts = []
+
+    def spied(hess):
+        verdicts.append(_certified_positive_definite(hess))
+        return verdicts[-1]
+
+    monkeypatch.setattr(equilibrium, "_certified_positive_definite", spied)
+    monkeypatch.setattr(np.linalg, "cholesky", _cholesky_must_not_run)
+    cfg = relax_finite(_CERTIFIED_CHAINS[case])
+    assert cfg.n_iterations > 0
+    assert verdicts == [True] * cfg.n_iterations

@@ -3,7 +3,9 @@ band tracking, edge-mode detection and band-shape diagnostics.
 
 Bulk quantities are evaluated at the trap centers by default; pass
 relax=True to use the relaxed geometry instead (only available where the
-relaxed chain exists, roughly d > 1.9 at the default dipole strength).
+relaxed chain exists: at the default spec of configs/default.json, the
+relaxed bulk for d >= 1.883584 and the 7- and 50-cell chains for
+d >= 1.884485 and 1.884487; see the README).
 """
 
 from __future__ import annotations

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import sys
 from pathlib import Path
@@ -315,7 +314,6 @@ _VERDICTS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", _VERDICTS)
 def test_certificate_verdicts(case):
     hess, certified = _VERDICTS[case]
@@ -325,10 +323,9 @@ def test_certificate_verdicts(case):
 
 
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-# trivial_d15 lies below the relaxed chain's existence edge (d = 1.88448)
+# trivial_d15 lies below the relaxed chain's existence edge (d = 1.884485)
 _CERTIFIED_CHAINS = {
-    **{f"{name}-20cells": dataclasses.replace(load_chain_spec(_CONFIGS / f"{name}.json"),
-                                              n_cells=20)
+    **{f"{name}-20cells": load_chain_spec(_CONFIGS / f"{name}.json").with_(n_cells=20)
        for name in ("default", "topological_d2", "trivial_d25")},
     # the two chains of the finite_relaxed benchmark workload at its default seed
     "trivial-250cells-d2.5": ChainSpec(n_cells=250, d=2.5),

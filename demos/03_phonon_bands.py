@@ -20,7 +20,7 @@ for d in (1.5, 2.0, 2.5):
         print(f"  band {j+1}: [{lo:.4f}, {hi:.4f}]  width {diag.bandwidth[j]:.4f}")
     print("  tracked crossing pairs:", diag.crossing_pairs)
 
-print("\nconcavity of bands 1 and 6 vs d (sign of the central-window curvature):")
+print("\nconcavity of bands 1 and 6 vs d (sign of the P2 moment over |q| <= pi/(2a)):")
 print("   d    band1 band6   width(band1)")
 for d in np.arange(1.5, 1.91, 0.05):
     diag = band_diagnostics(band_structure(ChainSpec(n_cells=7, d=round(float(d), 2))))

@@ -16,14 +16,16 @@ from itertools import permutations
 import numpy as np
 
 from .equilibrium import DEFAULT_CUTOFF_CELLS, relax_bulk, relax_finite
-from .errors import CoincidentAtomsError, ConfigError, ImaginaryFrequencyError
+from .errors import CoincidentAtomsError, ImaginaryFrequencyError
 from .geometry import ChainSpec, base_offsets, trap_centers
 from .potential import MIN_SEPARATION, _pair_hessians, _require_finite, hessian
 
 DEFAULT_Q_POINTS = 256
 DEGENERACY_TOL = 1e-10
 NEGATIVE_CLAMP = 1e-12
-_CONCAVITY_WINDOW = 0.5  # band_diagnostics fits |q| <= _CONCAVITY_WINDOW * pi/a
+_CONCAVITY_WINDOW = 0.5  # band_diagnostics takes concavity over |q| <= _CONCAVITY_WINDOW * pi/a,
+_CONCAVITY_NODES = 64  # as the sign of a P2 moment by Gauss-Legendre at this many nodes,
+_CONCAVITY_FLAT_TOL = 1e3  # and 0 where that moment is within _CONCAVITY_FLAT_TOL * eps * max omega
 _MIN_RUN = 3  # track_bands undoes order flips that revert within this many grid points
 # detect_edge_modes: how far outside every bulk envelope a mode must lie inside
 # an interior gap, or beyond the outer spectrum edge, and the end decay it needs there
@@ -32,6 +34,9 @@ _EXTERIOR_MARGIN = 1e-4
 _END_DECAY_THRESHOLD = 1.8
 
 _Z_COMPONENTS = (2, 5)  # (A, z) and (B, z) slots in the 6-component basis
+# the nonnegative half of the nodes and their weights; omega is even in q
+_NODES, _WEIGHTS = (half[_CONCAVITY_NODES // 2:]
+                    for half in np.polynomial.legendre.leggauss(_CONCAVITY_NODES))
 
 
 def q_grid(spec: ChainSpec, q_points: int) -> np.ndarray:
@@ -161,6 +166,11 @@ def _freqs_from_lambda(lam: np.ndarray, context: str) -> np.ndarray:
     return np.sqrt(np.clip(lam, 0.0, None))
 
 
+def _bulk_deltas(spec: ChainSpec, cutoff_cells: int, relax: bool) -> np.ndarray:
+    """(2, 3) offsets of the A and B atoms from their trap centers: the relaxed bulk's, or 0."""
+    return relax_bulk(spec, cutoff_cells=cutoff_cells).deltas if relax else np.zeros((2, 3))
+
+
 def band_structure(
     spec: ChainSpec,
     q_points: int = DEFAULT_Q_POINTS,
@@ -172,9 +182,8 @@ def band_structure(
 
     relax=True relaxes the bulk first.
     """
-    deltas = relax_bulk(spec, cutoff_cells=cutoff_cells).deltas if relax else np.zeros((2, 3))
     qs = q_grid(spec, q_points)
-    dyn = _dynamical_matrices(qs, spec, deltas, cutoff_cells)
+    dyn = _dynamical_matrices(qs, spec, _bulk_deltas(spec, cutoff_cells, relax), cutoff_cells)
     lam, vec = np.linalg.eigh(dyn)
     omega = _freqs_from_lambda(lam / spec.mass, "band_structure")
     for k in np.flatnonzero((np.diff(lam, axis=1) <= DEGENERACY_TOL).any(axis=1)):
@@ -378,7 +387,7 @@ def track_bands(bands: BandStructure) -> np.ndarray:
 @dataclass(frozen=True)
 class BandDiagnostics:
     crossings: tuple            # ((j, j', q), ...) with tracked 1-based labels
-    concavity: np.ndarray       # (6,) sign of the central-window curvature
+    concavity: np.ndarray       # (6,) sign of the P2 moment over |q| <= pi/(2a); 0 if flat
     bandwidth: np.ndarray       # (6,) per sorted band
 
     @property
@@ -387,38 +396,29 @@ class BandDiagnostics:
 
 
 def band_diagnostics(bands: BandStructure) -> BandDiagnostics:
-    """Crossings (of the bands that track_bands follows), q=0 concavities
-    and bandwidths.
+    """Crossings (of the bands that track_bands follows), central-window
+    concavities and bandwidths.
 
-    Concavity is the sign of the quadratic coefficient of a fit over the
-    central window |q| <= pi/(2a); a plain 3-point stencil is too local to
-    capture the band-shape change of nearly flat bands.  A grid with fewer
-    than 3 points in the window raises ConfigError naming the smallest
-    q_points that has 3.
+    Concavity is the sign of int omega_j(q) P2(q/W) dq over |q| <= W = pi/(2a),
+    that of the q^2 coefficient of the least-squares quadratic there (a 3-point
+    stencil is too local for nearly flat bands).  Gauss-Legendre at 64 fixed
+    nodes takes it from the bands' own bulk, whatever their q grid; within
+    1e3 * eps * max omega of 0 it is rounding noise, and the band gets 0.
     """
-    qs = bands.q_grid
-    omega = bands.omega
     pos = track_bands(bands)
     first, second = np.triu_indices(6, k=1)
     order = pos[:, first] - pos[:, second]          # (Nq, pair) sign table
     ks, pairs = np.nonzero(order[:-1] * order[1:] < 0)
-    events = [(int(first[p]) + 1, int(second[p]) + 1, float(qs[k + 1]))
+    events = [(int(first[p]) + 1, int(second[p]) + 1, float(bands.q_grid[k + 1]))
               for k, p in zip(ks, pairs)]
-    window_edge = _CONCAVITY_WINDOW * np.pi / bands.spec.a
-    window = np.abs(qs) <= window_edge
-    if np.count_nonzero(window) < 3:
-        n = 2
-        while np.count_nonzero(np.abs(q_grid(bands.spec, n)) <= window_edge) < 3:
-            n += 1
-        raise ConfigError(f"q_points={len(qs)} leaves {np.count_nonzero(window)} grid point(s) in "
-                          f"|q| <= {_CONCAVITY_WINDOW:g} pi/a, and the concavity fit needs 3; "
-                          f"the smallest q_points that gives 3 is {n}")
-    # q in units of the power of two nearest the window edge: the scaling is
-    # exact, so the signs are those of a fit in q, which underflows when pi/a is tiny
-    x = np.ldexp(qs[window], -np.frexp(window_edge)[1])
-    coeff = np.array([np.polyfit(x, omega[window, j], 2)[0] for j in range(6)])
+    spec, cutoff = bands.spec, bands.cutoff_cells
+    dyn = _dynamical_matrices(_NODES * (_CONCAVITY_WINDOW * np.pi / spec.a), spec,
+                              _bulk_deltas(spec, cutoff, bands.relaxed), cutoff)
+    at_nodes = _freqs_from_lambda(np.linalg.eigvalsh(dyn) / spec.mass, "band_diagnostics")
+    moment = (_WEIGHTS * (1.5 * _NODES**2 - 0.5)) @ at_nodes   # P2(x) = (3x^2 - 1) / 2
+    flat = np.abs(moment) <= _CONCAVITY_FLAT_TOL * np.finfo(float).eps * at_nodes.max()
     return BandDiagnostics(
         crossings=tuple(events),
-        concavity=np.sign(coeff),
-        bandwidth=omega.max(axis=0) - omega.min(axis=0),
+        concavity=np.where(flat, 0.0, np.sign(moment)),
+        bandwidth=bands.omega.max(axis=0) - bands.omega.min(axis=0),
     )

@@ -34,7 +34,8 @@ from .bands import (
 from .errors import ConfigError, RydphonError
 from .geometry import ChainSpec, Configuration, load_chain_spec, trap_centers
 from .local_phonons import bogoliubov_frequencies, local_phonon_model
-from .model_export import CONVENTIONS, _float_tokens, _open_output, assemble, serialize, spec_digest
+from .model_export import (CONVENTIONS, _float_tokens, _is_stdout, _open_output, assemble, serialize,
+                           spec_digest)
 from .potential import fd_gradient, fd_hessian, gradient, hessian, total_energy
 
 EXIT_OK = 0
@@ -329,13 +330,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args):
-    """Reject an output path whose directory is missing, or that is a directory,
-    before anything is computed."""
+    """Reject an output path whose directory is missing, that is a directory, or
+    that names a file another output replaces, before anything is computed."""
+    replaced = set()
     for path in filter(None, (getattr(args, name, None) for name in ("out", "out_g", "out_j"))):
         if os.path.isdir(path):
             raise ConfigError(f"cannot write {path}: it is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write {path}: its directory does not exist")
+        target = os.path.realpath(path)
+        if target in replaced:
+            raise ConfigError(f"cannot write {path}: another output names the same file")
+        if not os.path.exists(path) or os.path.isfile(path) and not _is_stdout(os.stat(path)):
+            replaced.add(target)  # devices, FIFOs and stdout's file are written in place
 
 
 def main(argv=None) -> int:

@@ -44,6 +44,9 @@ FIXED = {
     (equilibrium, "_BULK_TOL"): 1e-8,
     (equilibrium, "_MAX_ITER"): 200,
     (bands, "_MIN_RUN"): 3,
+    (bands, "_CONCAVITY_WINDOW"): 0.5,
+    (bands, "_CONCAVITY_NODES"): 64,
+    (bands, "_CONCAVITY_FLAT_TOL"): 1e3,
     (bands, "_INTERIOR_MARGIN"): 1e-4,
     (bands, "_EXTERIOR_MARGIN"): 1e-4,
     (bands, "_END_DECAY_THRESHOLD"): 1.8,

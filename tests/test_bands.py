@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from rydphon import (
     ChainSpec,
-    ConfigError,
     ImaginaryFrequencyError,
     Topology,
     band_diagnostics,
@@ -196,12 +195,67 @@ def test_concavity_flip_of_bands_one_and_six():
 
 
 @pytest.mark.parametrize("q_points", [2, 3, 5])
-def test_concavity_fit_needs_three_points_in_window(q_points):
-    # |q| <= pi/(2a) holds 1, 2 and 2 grid points; q_points = 4 is the smallest with 3
-    bands = band_structure(paper_spec(), q_points=q_points)
-    with pytest.raises(ConfigError, match="smallest q_points that gives 3 is 4"):
-        band_diagnostics(bands)
-    assert band_diagnostics(band_structure(paper_spec(), q_points=4)).concavity.shape == (6,)
+def test_concavity_needs_no_grid_points_in_window(q_points):
+    # |q| <= pi/(2a) holds 1, 2 and 2 grid points: too few for a fit over the grid
+    diag = band_diagnostics(band_structure(paper_spec(), q_points=q_points))
+    assert diag.concavity.tolist() == [-1, -1, -1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("d", [1.48, 1.64, 1.66, 2.0])
+def test_concavity_does_not_depend_on_the_q_grid(d):
+    # at 1.48 the old fit over the grid had too few window points at q_points = 4,
+    # and at 1.64 and 1.66 it disagreed with its continuum limit at 6 or 8 points
+    signs = {n: band_diagnostics(band_structure(paper_spec(d=d), q_points=n)).concavity.tolist()
+             for n in (2, 3, 4, 5, 6, 8, 64, 256, 1024)}
+    assert len({tuple(v) for v in signs.values()}) == 1, signs
+
+
+def _concavity_root(band, topology, lo=1.6, hi=1.7):
+    """The spacing where band's concavity changes sign, bisected to 1e-6."""
+    def sign(d):
+        return band_diagnostics(band_structure(paper_spec(d=d, topology=topology),
+                                               q_points=2)).concavity[band - 1]
+    below = sign(lo)
+    assert sign(hi) == -below
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if sign(mid) == below else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_band_one_concavity_root(topology):
+    assert 1.66 < _concavity_root(1, topology) < 1.67
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_band_six_concavity_root(topology):
+    assert 1.65 < _concavity_root(6, topology) < 1.66
+
+
+@pytest.mark.parametrize("nu", [(1.0, 1.0, 1.0), (1.0, 1.3, 0.8)])
+def test_bands_without_dipoles_are_flat(nu):
+    diag = band_diagnostics(band_structure(paper_spec(v_dd=0.0, nu=nu), q_points=16))
+    assert diag.concavity.tolist() == [0] * 6
+
+
+def test_relaxed_concavity_is_that_of_a_fresh_relaxed_bulk(monkeypatch):
+    # at this spec relaxing the bulk turns band 1 from convex to concave
+    spec = paper_spec(d=2.3, delta=1.4)
+    bands = band_structure(spec, q_points=8, relax=True)
+    edge = 0.5 * np.pi / spec.a
+    x, w = np.polynomial.legendre.leggauss(64)
+    dyn = _dynamical_matrices(edge * x, spec, relax_bulk(spec).deltas, DEFAULT_CUTOFF_CELLS)
+    moment = (w * (1.5 * x**2 - 0.5)) @ np.sqrt(np.linalg.eigvalsh(dyn) / spec.mass)
+    calls = []
+    monkeypatch.setattr(bands_module, "relax_bulk",
+                        lambda *args, **kwargs: calls.append(1) or relax_bulk(*args, **kwargs))
+    relaxed = band_diagnostics(bands).concavity
+    assert len(calls) == 1
+    assert relaxed.tolist() == np.sign(moment).tolist()
+    assert relaxed[0] == -1
+    assert band_diagnostics(band_structure(spec, q_points=8)).concavity[0] == 1
+    assert len(calls) == 1
 
 
 def test_finite_spectrum_flat_without_dipoles():

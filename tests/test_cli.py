@@ -99,13 +99,25 @@ def test_out_of_range_integer_argument_exits_two(tmp_path, capsys, argv, message
     ["bands"],
     ["sweep", "--from", "1.9", "--to", "2.0", "--steps", "2"],
 ])
-def test_too_few_q_points_for_concavity_fit_exits_two(tmp_path, capsys, command, q_points):
+def test_few_q_points_compute_and_exit_zero(tmp_path, capsys, command, q_points):
+    # no grid point but q = 0 lies inside |q| <= pi/(2a) at q_points 2 and 3, and two at 5
     cfg = write_config(tmp_path)
-    argv = [command[0], cfg, *command[1:], "--q-points", q_points, "--out", str(tmp_path / "o.csv")]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:")
-    assert "smallest q_points that gives 3 is 4" in err
+    out = tmp_path / "o.csv"
+    assert main([command[0], cfg, *command[1:], "--q-points", q_points, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.exists()
+
+
+@pytest.mark.parametrize("d, command", [
+    (1.48, ["bands"]),
+    (2.0, ["sweep", "--from", "1.5", "--to", "2.5", "--steps", "21"]),
+])
+def test_q_points_four_computes_at_every_spacing(tmp_path, capsys, d, command):
+    # on these spacings the grid point nearest pi/(2a) lies just outside that window edge
+    cfg = write_config(tmp_path, d=d)
+    argv = [command[0], cfg, *command[1:], "--q-points", "4", "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_config_that_is_not_utf8_json_exits_two(tmp_path, capsys):
@@ -259,6 +271,40 @@ def test_unwritable_output_exits_two(tmp_path, capsys, argv, message):
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("out_g, out_j", [
+    ("same.csv", "same.csv"),
+    ("same.csv", "sub/../same.csv"),
+    ("old.csv", "link.csv"),        # an existing file and a symlink to it
+    ("link.csv", "same.csv"),       # a symlink to the other, not yet written, file
+])
+def test_two_outputs_naming_one_file_exit_two(tmp_path, capsys, out_g, out_j):
+    cfg = write_config(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "old.csv").write_text("old\n")
+    (tmp_path / "link.csv").symlink_to(tmp_path / ("old.csv" if out_g == "old.csv" else "same.csv"))
+    assert main(["local", cfg, "--out-g", str(tmp_path / out_g), "--out-j", str(tmp_path / out_j)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot write {tmp_path / out_j}: "
+                          "another output names the same file")
+    assert not (tmp_path / "same.csv").exists()
+    assert (tmp_path / "old.csv").read_text() == "old\n"
+
+
+def test_two_outputs_to_one_device_are_written(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["local", cfg, "--out-g", os.devnull, "--out-j", os.devnull]) == 0
+
+
+def test_two_names_of_one_inode_each_get_their_table(tmp_path):
+    # each output replaces its own name, so hard links part and nothing is lost
+    cfg = write_config(tmp_path)
+    (tmp_path / "g.csv").write_text("old\n")
+    os.link(tmp_path / "g.csv", tmp_path / "j.csv")
+    assert main(["local", cfg, "--out-g", str(tmp_path / "g.csv"), "--out-j", str(tmp_path / "j.csv")]) == 0
+    assert data_lines(tmp_path / "g.csv")[0] == "n,m,i,j,value"
+    assert data_lines(tmp_path / "j.csv")[0] == "separation,bond_class,value"
 
 
 def _cli_process(argv, **kwargs):

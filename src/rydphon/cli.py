@@ -34,8 +34,15 @@ from .bands import (
 from .errors import ConfigError, RydphonError
 from .geometry import ChainSpec, Configuration, load_chain_spec, trap_centers
 from .local_phonons import bogoliubov_frequencies, local_phonon_model
-from .model_export import (CONVENTIONS, _float_tokens, _is_stdout, _open_output, assemble, serialize,
-                           spec_digest)
+from .model_export import (
+    CONVENTIONS,
+    _float_tokens,
+    _is_stdout,
+    _open_output,
+    assemble,
+    serialize,
+    spec_digest,
+)
 from .potential import fd_gradient, fd_hessian, gradient, hessian, total_energy
 
 EXIT_OK = 0

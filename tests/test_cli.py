@@ -100,7 +100,7 @@ def test_out_of_range_integer_argument_exits_two(tmp_path, capsys, argv, message
     ["sweep", "--from", "1.9", "--to", "2.0", "--steps", "2"],
 ])
 def test_few_q_points_compute_and_exit_zero(tmp_path, capsys, command, q_points):
-    # no grid point but q = 0 lies inside |q| <= pi/(2a) at q_points 2 and 3, and two at 5
+    # |q| <= pi/(2a) holds 1, 2 and 2 grid points at q_points 2, 3 and 5
     cfg = write_config(tmp_path)
     out = tmp_path / "o.csv"
     assert main([command[0], cfg, *command[1:], "--q-points", q_points, "--out", str(out)]) == 0
@@ -112,8 +112,9 @@ def test_few_q_points_compute_and_exit_zero(tmp_path, capsys, command, q_points)
     (1.48, ["bands"]),
     (2.0, ["sweep", "--from", "1.5", "--to", "2.5", "--steps", "21"]),
 ])
-def test_q_points_four_computes_at_every_spacing(tmp_path, capsys, d, command):
-    # on these spacings the grid point nearest pi/(2a) lies just outside that window edge
+def test_q_points_four_computes_at_d_148_and_over_the_paper_sweep(tmp_path, capsys, d, command):
+    # at q_points 4 the grid point pi/(2a) lies one ulp outside the window at d = 1.48 and
+    # at some spacings of the sweep, so a fit over the grid had 2 window points there
     cfg = write_config(tmp_path, d=d)
     argv = [command[0], cfg, *command[1:], "--q-points", "4", "--out", str(tmp_path / "o.csv")]
     assert main(argv) == 0

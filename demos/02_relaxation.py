@@ -4,9 +4,10 @@ The dipolar forces push atoms away from the tweezer centers.  Both
 solvers run the same descent: capped Newton steps, each accepted only
 once a backtracking line search has lowered the energy.  The finite
 solver moves all 3N coordinates; the bulk solver moves the six per-cell
-displacement coordinates (delta_A, delta_B).  Below d ~ 1.9 the
-symmetric equilibrium no longer exists (the chain would collapse), which
-is why the band pipeline defaults to bare trap centers.
+displacement coordinates (delta_A, delta_B).  With a = 2d on the default
+chain, the symmetric equilibrium exists only for d >= 1.883584 (bulk) and
+d >= 1.884485 (7-cell chain); below that the chain collapses, which is why
+the band pipeline defaults to bare trap centers.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ cfg = relax_finite(spec)
 print(f"finite chain: {cfg.n_iterations} Newton steps, residual {cfg.residual_inf_norm:.2e}")
 print(f"stable: {cfg.stable} (smallest Hessian eigenvalue {cfg.min_hessian_eigenvalue:+.4f})")
 print("energy trap-centers -> relaxed:",
-      total_energy(trap_centers(spec), spec).total, "->", total_energy(cfg, spec).total)
+      total_energy(trap_centers(spec), spec), "->", total_energy(cfg, spec))
 
 disp = cfg.positions - trap_centers(spec).positions
 print("largest displacement:", np.abs(disp).max())

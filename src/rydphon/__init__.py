@@ -28,7 +28,6 @@ from .geometry import (
     trap_centers,
 )
 from .potential import (
-    EnergyReport,
     fd_gradient,
     fd_hessian,
     gradient,

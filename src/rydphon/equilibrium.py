@@ -54,7 +54,7 @@ def relax_finite(spec: ChainSpec) -> Configuration:
 
     def evaluate(x):
         config = Configuration(x.reshape(-1, 3))
-        return (total_energy(config, spec).total,
+        return (total_energy(config, spec),
                 lambda: (gradient(config, spec), hessian(config, spec)))
 
     x, residual, hess, n_iter, history = _newton_descent(

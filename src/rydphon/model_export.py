@@ -205,9 +205,32 @@ def _is_stdout(st: os.stat_result) -> bool:
     return (st.st_dev, st.st_ino) == (out.st_dev, out.st_ino)
 
 
+def _output_mode(path):
+    """How ``_open_output`` writes ``path``: ``(how, st, target)``.
+
+    ``how`` is "stdout" for None or a path that names the file stdout
+    writes to; "replace" for a new or regular file, which is replaced whole
+    at ``target``, its ``os.path.realpath``; and "in place" for any other
+    target (devices, FIFOs).  ``st`` is the ``os.stat`` of what ``path``
+    names, or None when nothing is there.  An OSError of ``os.stat`` other
+    than FileNotFoundError propagates."""
+    if path is None:
+        return "stdout", None, None
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and _is_stdout(st):
+        return "stdout", st, None
+    if st is None or stat.S_ISREG(st.st_mode):
+        return "replace", st, os.path.realpath(path)
+    return "in place", st, None
+
+
 @contextlib.contextmanager
 def _open_output(path):
-    """``path`` opened for writing text, or stdout when it is None.
+    """``path`` opened for writing text, or stdout when it is None, as
+    ``_output_mode`` decides.
 
     A path that names the file stdout writes to (``/dev/stdout``, or the
     file it is redirected to) is written through stdout, so the table and
@@ -220,18 +243,12 @@ def _open_output(path):
     pointed at the null device, so the flush at interpreter exit cannot
     fail."""
     staged = None
-    to_stdout = path is None
+    how = None
     try:
-        if path is not None:
-            try:
-                old = os.stat(path)
-            except FileNotFoundError:
-                old = None
-            to_stdout = old is not None and _is_stdout(old)
-        if to_stdout:
+        how, old, target = _output_mode(path)
+        if how == "stdout":
             fh = contextlib.nullcontext(sys.stdout)
-        elif old is None or stat.S_ISREG(old.st_mode):
-            target = os.path.realpath(path)
+        elif how == "replace":
             fh, staged = _create_beside(target)
         else:
             fh = open(path, "w", encoding="utf-8")
@@ -244,7 +261,7 @@ def _open_output(path):
             os.replace(staged, target)
             staged = None
     except OSError as exc:
-        if to_stdout:
+        if how == "stdout":
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise ConfigError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}") from None
     finally:

@@ -9,8 +9,6 @@ finite-difference versions exist as independent test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CoincidentAtomsError, NonFiniteMatrixError
@@ -18,13 +16,6 @@ from .geometry import ChainSpec, Configuration, trap_centers
 
 MIN_SEPARATION = 1e-9
 _PAIR_CHUNK = 4096  # pairs per step of hessian's pair loops, so temporaries stay small
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    total: float
-    trap_part: float
-    dipole_part: float
 
 
 def _pair_geometry(positions: np.ndarray, m_hat: np.ndarray):
@@ -90,24 +81,15 @@ def _pair_hessians(rvec, rnorm, s, m_hat, v_dd):
     return out
 
 
-def _energy_components(positions, centers, nu, mass, m_hat, v_dd):
-    """(trap, dipole) energy parts for explicit positions and trap centers."""
-    disp = positions - centers
-    trap = 0.5 * mass * float(np.sum((nu[None, :] * disp) ** 2))
-    return trap, _dipole_energy(positions, m_hat, v_dd)
-
-
-def total_energy(config: Configuration, spec: ChainSpec) -> EnergyReport:
+def total_energy(config: Configuration, spec: ChainSpec) -> float:
     """Trap plus dipolar energy of a configuration of the given chain."""
     if config.n_atoms != spec.n_atoms:
         raise ValueError(
             f"configuration has {config.n_atoms} atoms, spec expects {spec.n_atoms}"
         )
-    centers = trap_centers(spec).positions
-    trap, dip = _energy_components(
-        config.positions, centers, spec.nu_array, spec.mass, spec.m_hat, spec.v_dd
-    )
-    return EnergyReport(total=trap + dip, trap_part=trap, dipole_part=dip)
+    disp = config.positions - trap_centers(spec).positions
+    trap = 0.5 * spec.mass * float(np.sum((spec.nu_array[None, :] * disp) ** 2))
+    return trap + _dipole_energy(config.positions, spec.m_hat, spec.v_dd)
 
 
 def gradient(config: Configuration, spec: ChainSpec) -> np.ndarray:
@@ -188,7 +170,7 @@ def fd_gradient(config: Configuration, spec: ChainSpec, step: float = 1e-5) -> n
     def energy(c: int, shift: float) -> float:
         x = x0.copy()
         x[c] += shift
-        return total_energy(Configuration(x.reshape(-1, 3)), spec).total
+        return total_energy(Configuration(x.reshape(-1, 3)), spec)
 
     out = np.empty_like(x0)
     for c in range(x0.size):

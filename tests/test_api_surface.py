@@ -14,7 +14,7 @@ from rydphon import atom_phonon, bands, equilibrium, local_phonons
 
 EXPORTED = {
     "BandDiagnostics", "BandStructure", "BulkEquilibrium", "ChainSpec", "CoincidentAtomsError",
-    "ConfigError", "Configuration", "CouplingGrid", "DynamicalInstabilityError", "EnergyReport",
+    "ConfigError", "Configuration", "CouplingGrid", "DynamicalInstabilityError",
     "ExtendedHHModel", "FiniteSpectrum", "ImaginaryFrequencyError", "LocalPhononModel",
     "MaxIterExceededError", "NonConvergedCutoffError", "NonFiniteMatrixError",
     "NonPositiveDiagonalError", "RydphonError", "SchemaMismatchError", "Topology",

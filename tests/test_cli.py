@@ -4,15 +4,19 @@ import resource
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rydphon
+from rydphon import cli
 from rydphon.cli import main
 
 from conftest import child_env, paper_spec
 from rydphon.geometry import spec_to_dict
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, name="chain.json", **overrides):
@@ -226,6 +230,19 @@ def test_export_and_check(tmp_path, capsys):
     assert "all" in capsys.readouterr().out
 
 
+CHECK_NAMES = ["gradient-vs-central-differences", "hessian-vs-central-differences",
+               "eigenvector-orthonormality", "omega-even-in-q", "bogoliubov-vs-normal-modes",
+               "rho0-at-pole"]
+
+
+@pytest.mark.parametrize("config", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
+def test_check_passes_its_six_checks_on_every_config(config, capsys):
+    assert main(["check", str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [f"PASS {name}" for name in CHECK_NAMES]
+    assert lines[-1] == "all 6 checks passed"
+
+
 def test_export_determinism(tmp_path):
     cfg = write_config(tmp_path)
     first = tmp_path / "m1.json"
@@ -252,9 +269,11 @@ _UNWRITABLE = {
     "export-missing-dir": (["export", "--t", "1", "--U", "4", "--gcp", "0.5",
                             "--out", "{tmp}/missing/m.json"], "its directory does not exist"),
     "bands-directory": (["bands", "--out", "{tmp}"], "it is a directory"),
-    # these pass the early check and fail when the finished table is opened
+    # link.csv is a symlink into the missing directory
     "coupling-dangling-link": (["coupling", "--q-points", "16", "--out", "{tmp}/link.csv"],
-                               "No such file or directory"),
+                               "its directory does not exist"),
+    "spectrum-dangling-link": (["spectrum", "--out", "{tmp}/link.csv"],
+                               "its directory does not exist"),
     "sweep-name-too-long": (["sweep", "--q-points", "16", "--from", "1.9", "--to", "2.0",
                              "--steps", "2", "--out", "{tmp}/" + "x" * 300 + ".csv"],
                             "File name too long"),
@@ -291,6 +310,25 @@ def test_two_outputs_naming_one_file_exit_two(tmp_path, capsys, out_g, out_j):
                           "another output names the same file")
     assert not (tmp_path / "same.csv").exists()
     assert (tmp_path / "old.csv").read_text() == "old\n"
+
+
+@pytest.mark.parametrize("argv, compute", [
+    (["spectrum", "--out", "link.csv"], "finite_spectrum"),
+    (["local", "--out-g", "g.csv", "--out-j", "link.csv"], "local_phonon_model"),
+], ids=["spectrum", "local"])
+def test_dangling_link_exits_two_before_anything_is_computed(tmp_path, monkeypatch, capsys,
+                                                             argv, compute):
+    def never_called(*args, **kwargs):
+        raise AssertionError(f"{compute} ran before the outputs were checked")
+
+    cfg = write_config(tmp_path)
+    (tmp_path / "link.csv").symlink_to(tmp_path / "missing" / "target.csv")
+    monkeypatch.setattr(cli, compute, never_called)
+    monkeypatch.chdir(tmp_path)
+    assert main([argv[0], cfg, *argv[1:]]) == 2
+    assert capsys.readouterr().err == ("configuration error: cannot write link.csv: "
+                                       "its directory does not exist\n")
+    assert sorted(os.listdir(tmp_path)) == ["chain.json", "link.csv"]
 
 
 def test_two_outputs_to_one_device_are_written(tmp_path, capsys):

@@ -17,7 +17,9 @@ case is added with
 
 which records only the named cases and leaves every other case, ``commit``
 and ``src_sha256`` as they are; run it before the ``src/`` edit the case
-is to guard.
+is to guard.  Either form prints one line per recorded case naming which
+of its digests (exit code, stdout, each file) changed and which did not,
+the disclosure a re-record goes with.
 """
 
 from __future__ import annotations
@@ -184,6 +186,18 @@ def test_golden_digest(case_id, tmp_path):
     assert not problems, "outputs changed; largest difference per file:\n" + "\n".join(problems)
 
 
+def test_record_names_the_digests_that_changed():
+    old = {"exit": 0, "stdout_sha256": "a", "files": {"g.csv": {"sha256": "g"},
+                                                     "j.csv": {"sha256": "j"}}}
+    new = {"exit": 0, "stdout_sha256": "b", "files": {"g.csv": {"sha256": "g"},
+                                                     "j.csv": {"sha256": "k"}}}
+    assert _digest_changes("local-x", new, old) == \
+        "local-x: changed stdout, j.csv; unchanged exit, g.csv"
+    assert _digest_changes("local-x", old, old) == \
+        "local-x: changed nothing; unchanged exit, stdout, g.csv, j.csv"
+    assert _digest_changes("local-x", new, None) == "local-x: new case"
+
+
 def _git_commit() -> str:
     try:
         proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
@@ -193,12 +207,29 @@ def _git_commit() -> str:
     return proc.stdout.strip() or "unknown"
 
 
+def _digest_changes(case_id: str, new: dict, old) -> str:
+    """One line naming which of a re-recorded case's digests (exit code,
+    stdout, each file) changed and which did not."""
+    if old is None:
+        return f"{case_id}: new case"
+    digests = {"exit": (new["exit"], old["exit"]),
+               "stdout": (new["stdout_sha256"], old["stdout_sha256"])}
+    for name, entry in new["files"].items():
+        digests[name] = (entry["sha256"], old["files"].get(name, {}).get("sha256"))
+    changed = [what for what, (got, had) in digests.items() if got != had]
+    same = [what for what in digests if what not in changed]
+    return (f"{case_id}: changed {', '.join(changed) or 'nothing'}; "
+            f"unchanged {', '.join(same) or 'nothing'}")
+
+
 def record(case_ids=()) -> None:
     """Record ``case_ids`` into golden.json, keeping every other case and the
-    recorded ``commit`` and ``src_sha256``; with none, record every case afresh."""
+    recorded ``commit`` and ``src_sha256``; with none, record every case afresh.
+    Prints, for each recorded case, which of its digests changed."""
     unknown = sorted(set(case_ids) - set(CASES))
     if unknown:
         sys.exit(f"unknown case(s): {', '.join(unknown)}")
+    before = _golden()["cases"] if GOLDEN.exists() else {}
     cases = {}
     for case_id in sorted(case_ids or CASES):
         with tempfile.TemporaryDirectory() as work:
@@ -207,6 +238,7 @@ def record(case_ids=()) -> None:
                 entry["columns"] = _column_summary(Path(work) / name)
         del result["stdout"]
         cases[case_id] = result
+        print(_digest_changes(case_id, result, before.get(case_id)))
     if case_ids:
         doc = _golden()
         doc["cases"].update(cases)

@@ -19,7 +19,7 @@ from rydphon import (
 )
 from rydphon.potential import (
     _PAIR_CHUNK,
-    _energy_components,
+    _dipole_energy,
     _pair_geometry,
     _pair_gradients,
     _pair_hessians,
@@ -36,8 +36,7 @@ def perturbed(spec, rng, scale=0.05):
 def two_atom_dipole_energy(r, theta):
     """Dipolar energy (v_dd = 1) of two atoms separated by r, dipoles at polar angle theta."""
     spec = ChainSpec(n_cells=1, d=2.0, theta=theta, v_dd=1.0)
-    config = Configuration(np.array([r, [0.0, 0.0, 0.0]]), 0.0, False)
-    return total_energy(config, spec).dipole_part
+    return _dipole_energy(np.array([r, [0.0, 0.0, 0.0]]), spec.m_hat, spec.v_dd)
 
 
 def test_pair_energy_head_to_tail():
@@ -59,34 +58,52 @@ def test_pair_energy_rejects_zero_separation():
 
 def test_total_energy_zero_at_centers_without_dipoles():
     spec = paper_spec(v_dd=0.0)
-    report = total_energy(trap_centers(spec), spec)
-    assert report.total == 0.0
+    assert total_energy(trap_centers(spec), spec) == 0.0
 
 
 def test_trap_part_single_displaced_atom():
     spec = ChainSpec(n_cells=1, d=2.0, v_dd=0.0)
     pos = trap_centers(spec).positions.copy()
     pos[0] += [0.0, 0.0, 0.1]
-    report = total_energy(Configuration(pos, 0.0, False), spec)
-    assert abs(report.trap_part - 0.005) < 1e-15
-    assert report.dipole_part == 0.0
+    # v_dd = 0, so the energy is the trap part alone
+    assert abs(total_energy(Configuration(pos, 0.0, False), spec) - 0.005) < 1e-15
 
 
 def test_two_atom_dipole_part_is_single_pair_energy():
     spec = ChainSpec(n_cells=1, d=2.0, delta=1.0)
-    config = trap_centers(spec)
-    report = total_energy(config, spec)
+    config = trap_centers(spec)   # the trap part is exactly 0.0 at the trap centers
     r = config.positions[0] - config.positions[1]
     rnorm = float(np.linalg.norm(r))
     cos = float(np.dot(spec.m_hat, r)) / rnorm
-    assert abs(report.dipole_part - spec.v_dd * (1.0 - 3.0 * cos * cos) / rnorm**3) < 1e-15
+    assert abs(total_energy(config, spec) - spec.v_dd * (1.0 - 3.0 * cos * cos) / rnorm**3) < 1e-15
 
 
-def test_energy_report_identity(rng):
-    spec = paper_spec()
-    report = total_energy(perturbed(spec, rng), spec)
-    assert abs(report.total - (report.trap_part + report.dipole_part)) \
-        <= 1e-12 * abs(report.total)
+def _trap_plus_dipole(config, spec):
+    """The trap and dipolar parts, computed as total_energy computed them while it
+    returned both, and summed."""
+    positions = config.positions
+    disp = positions - trap_centers(spec).positions
+    trap = 0.5 * spec.mass * float(np.sum((spec.nu_array[None, :] * disp) ** 2))
+    dip = 0.0
+    if positions.shape[0] >= 2 and spec.v_dd != 0.0:
+        iu, ju = np.triu_indices(positions.shape[0], k=1)
+        rvec = positions[iu] - positions[ju]
+        rnorm = np.linalg.norm(rvec, axis=1)
+        s = rvec @ spec.m_hat
+        dip = float(spec.v_dd * np.sum((rnorm**2 - 3.0 * s**2) / rnorm**5))
+    return trap + dip
+
+
+@pytest.mark.parametrize("case", ["trap-centers", "perturbed", "relaxed", "no-dipoles"])
+def test_total_energy_is_trap_plus_dipole_bit_for_bit(rng, case):
+    spec = paper_spec(v_dd=0.0) if case == "no-dipoles" else paper_spec()
+    if case == "trap-centers":
+        config = trap_centers(spec)
+    elif case == "relaxed":
+        config = relax_finite(spec)
+    else:
+        config = perturbed(spec, rng)
+    assert total_energy(config, spec) == _trap_plus_dipole(config, spec)
 
 
 def test_total_energy_rejects_coincident_atoms():
@@ -310,7 +327,7 @@ def test_directional_derivative_consistency(rng):
         eps = 1e-6
         up = Configuration(cfg.positions + eps * v.reshape(-1, 3), 0.0, False)
         dn = Configuration(cfg.positions - eps * v.reshape(-1, 3), 0.0, False)
-        numeric = (total_energy(up, spec).total - total_energy(dn, spec).total) / (2 * eps)
+        numeric = (total_energy(up, spec) - total_energy(dn, spec)) / (2 * eps)
         assert abs(numeric - g @ v) < 1e-8
 
 
@@ -327,12 +344,8 @@ def _rotation(axis, angle):
 ])
 def test_total_energy_rotation_invariance(rng, axis, angle):
     spec = paper_spec(n_cells=4)
-    cfg = perturbed(spec, rng)
-    centers = trap_centers(spec).positions
-    nu = spec.nu_array
-    base = sum(_energy_components(cfg.positions, centers, nu, spec.mass, spec.m_hat, spec.v_dd))
+    positions = perturbed(spec, rng).positions
+    base = _dipole_energy(positions, spec.m_hat, spec.v_dd)
     rot = _rotation(axis, angle)
-    rotated = sum(_energy_components(
-        cfg.positions @ rot.T, centers @ rot.T, nu, spec.mass, rot @ spec.m_hat, spec.v_dd,
-    ))
+    rotated = _dipole_energy(positions @ rot.T, rot @ spec.m_hat, spec.v_dd)
     assert abs(base - rotated) < 1e-12 * max(1.0, abs(base))

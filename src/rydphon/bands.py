@@ -15,7 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .equilibrium import DEFAULT_CUTOFF_CELLS, relax_bulk, relax_finite
+from .equilibrium import _CUTOFF_CELLS, relax_bulk, relax_finite
 from .errors import CoincidentAtomsError, ImaginaryFrequencyError
 from .geometry import ChainSpec, base_offsets, trap_centers
 from .potential import MIN_SEPARATION, _pair_hessians, _require_finite, hessian
@@ -47,17 +47,18 @@ def q_grid(spec: ChainSpec, q_points: int) -> np.ndarray:
     return np.linspace(-edge, edge, q_points + 1)[1:]
 
 
-def _real_space_blocks(spec: ChainSpec, deltas: np.ndarray, cutoff_cells: int):
-    """Second-derivative blocks between cell 0 and cells n in [-C, C].
+def _real_space_blocks(spec: ChainSpec, deltas: np.ndarray):
+    """Second-derivative blocks between cell 0 and cells n in [-C, C],
+    C = ``_CUTOFF_CELLS``.
 
     Returns (cells, blocks) with blocks[n_idx] the 6x6 real matrix
     d2V/du_{0,alpha,i} du_{n,beta,j}; the n=0 diagonal gets the trap term
     plus the self sum over every truncated partner.
     """
     offs = base_offsets(spec) + deltas
-    cells = np.arange(-cutoff_cells, cutoff_cells + 1)
+    cells = np.arange(-_CUTOFF_CELLS, _CUTOFF_CELLS + 1)
     n_cells = len(cells)
-    zero_idx = cutoff_cells
+    zero_idx = _CUTOFF_CELLS
     blocks = np.zeros((n_cells, 6, 6))
     m_hat = spec.m_hat
     for a in range(2):
@@ -84,10 +85,8 @@ def _real_space_blocks(spec: ChainSpec, deltas: np.ndarray, cutoff_cells: int):
     return cells, blocks
 
 
-def _dynamical_matrices(qs, spec: ChainSpec, deltas, cutoff_cells: int) -> np.ndarray:
-    if cutoff_cells < 1:
-        raise ValueError("cutoff_cells must be >= 1")
-    cells, blocks = _real_space_blocks(spec, deltas, cutoff_cells)
+def _dynamical_matrices(qs, spec: ChainSpec, deltas) -> np.ndarray:
+    cells, blocks = _real_space_blocks(spec, deltas)
     phases = np.exp(1j * np.asarray(qs)[:, None] * cells[None, :] * spec.a)
     dyn = np.einsum("qn,nij->qij", phases, blocks)
     _require_finite(dyn, "Bloch matrix")
@@ -145,7 +144,6 @@ class BandStructure:
     omega: np.ndarray       # (Nq, 6)
     xi: np.ndarray          # (Nq, 6, 6) complex
     spec: ChainSpec
-    cutoff_cells: int
     relaxed: bool
 
     @property
@@ -166,15 +164,14 @@ def _freqs_from_lambda(lam: np.ndarray, context: str) -> np.ndarray:
     return np.sqrt(np.clip(lam, 0.0, None))
 
 
-def _bulk_deltas(spec: ChainSpec, cutoff_cells: int, relax: bool) -> np.ndarray:
+def _bulk_deltas(spec: ChainSpec, relax: bool) -> np.ndarray:
     """(2, 3) offsets of the A and B atoms from their trap centers: the relaxed bulk's, or 0."""
-    return relax_bulk(spec, cutoff_cells=cutoff_cells).deltas if relax else np.zeros((2, 3))
+    return relax_bulk(spec).deltas if relax else np.zeros((2, 3))
 
 
 def band_structure(
     spec: ChainSpec,
     q_points: int = DEFAULT_Q_POINTS,
-    cutoff_cells: int = DEFAULT_CUTOFF_CELLS,
     relax: bool = False,
 ) -> BandStructure:
     """Diagonalize the Bloch matrix on the standard grid, with deterministic
@@ -183,15 +180,12 @@ def band_structure(
     relax=True relaxes the bulk first.
     """
     qs = q_grid(spec, q_points)
-    dyn = _dynamical_matrices(qs, spec, _bulk_deltas(spec, cutoff_cells, relax), cutoff_cells)
+    dyn = _dynamical_matrices(qs, spec, _bulk_deltas(spec, relax))
     lam, vec = np.linalg.eigh(dyn)
     omega = _freqs_from_lambda(lam / spec.mass, "band_structure")
     for k in np.flatnonzero((np.diff(lam, axis=1) <= DEGENERACY_TOL).any(axis=1)):
         vec[k] = _respan_degenerate(lam[k], vec[k])
-    return BandStructure(
-        q_grid=qs, omega=omega, xi=_gauge_fix(vec), spec=spec,
-        cutoff_cells=cutoff_cells, relaxed=relax,
-    )
+    return BandStructure(q_grid=qs, omega=omega, xi=_gauge_fix(vec), spec=spec, relaxed=relax)
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +405,9 @@ def band_diagnostics(bands: BandStructure) -> BandDiagnostics:
     ks, pairs = np.nonzero(order[:-1] * order[1:] < 0)
     events = [(int(first[p]) + 1, int(second[p]) + 1, float(bands.q_grid[k + 1]))
               for k, p in zip(ks, pairs)]
-    spec, cutoff = bands.spec, bands.cutoff_cells
+    spec = bands.spec
     dyn = _dynamical_matrices(_NODES * (_CONCAVITY_WINDOW * np.pi / spec.a), spec,
-                              _bulk_deltas(spec, cutoff, bands.relaxed), cutoff)
+                              _bulk_deltas(spec, bands.relaxed))
     at_nodes = _freqs_from_lambda(np.linalg.eigvalsh(dyn) / spec.mass, "band_diagnostics")
     moment = (_WEIGHTS * (1.5 * _NODES**2 - 0.5)) @ at_nodes   # P2(x) = (3x^2 - 1) / 2
     flat = np.abs(moment) <= _CONCAVITY_FLAT_TOL * np.finfo(float).eps * at_nodes.max()

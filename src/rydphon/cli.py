@@ -23,14 +23,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .atom_phonon import coupled_bands, coupling_grid, rho0
-from .bands import (
-    DEFAULT_CUTOFF_CELLS,
-    DEFAULT_Q_POINTS,
-    band_diagnostics,
-    band_structure,
-    finite_spectrum,
-)
+from .atom_phonon import coupled_bands, coupling_grid
+from .bands import DEFAULT_Q_POINTS, band_diagnostics, band_structure, finite_spectrum
 from .errors import ConfigError, RydphonError
 from .geometry import ChainSpec, Configuration, load_chain_spec, trap_centers
 from .local_phonons import bogoliubov_frequencies, local_phonon_model
@@ -88,8 +82,7 @@ def _q_band_columns(q_grid: np.ndarray) -> dict:
 
 
 def cmd_bands(spec: ChainSpec, args) -> int:
-    bands = band_structure(spec, q_points=args.q_points,
-                           cutoff_cells=args.cutoff_cells, relax=args.relax)
+    bands = band_structure(spec, q_points=args.q_points, relax=args.relax)
     report = [f"crossing bands ({a},{b}) at q={q!r}" for a, b, q in band_diagnostics(bands).crossings]
     columns = {**_q_band_columns(bands.q_grid), "omega": bands.omega.ravel()}
     components = [atom + axis for atom in "ab" for axis in "xyz"]
@@ -219,8 +212,6 @@ def _run_checks(spec: ChainSpec):
     bogo = bogoliubov_frequencies(model.h, model.g)
     ref = np.sqrt(np.linalg.eigvalsh(hessian(trap_centers(small), small) / small.mass))
     checks.append(("bogoliubov-vs-normal-modes", float(np.abs(bogo - ref).max()), 1e-8))
-
-    checks.append(("rho0-at-pole", abs(rho0(2.0 * np.pi / spec.d, spec.d) - 0.5), 1e-8))
     return checks
 
 
@@ -275,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bands", help="bulk phonon band structure CSV")
     _add_common(p)
-    p.add_argument("--cutoff-cells", type=_int_at_least(1), default=DEFAULT_CUTOFF_CELLS, dest="cutoff_cells")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bands)
 

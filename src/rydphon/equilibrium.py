@@ -4,10 +4,10 @@ The finite chain is relaxed in all 3N coordinates, the infinite (bulk)
 chain under the ansatz that every cell shares the per-base displacements
 (delta_A, delta_B).  Both run one descent, ``_newton_descent``: capped
 Newton steps from the analytic gradient and Hessian, each accepted once
-an Armijo backtracking search has lowered the energy.  ``relax_finite``
-returns the Hessian at the solution with the relaxed positions; the
-relaxed finite spectrum and local-phonon model use it as their harmonic
-matrix, so each relaxed chain's Hessian is built once.
+an Armijo backtracking search has lowered the energy, up to 8 ulps of it.
+``relax_finite`` returns the Hessian at the solution with the relaxed
+positions; the relaxed finite spectrum and local-phonon model use it as
+their harmonic matrix, so each relaxed chain's Hessian is built once.
 
 Each Newton step solves H p = -g with ``np.linalg.solve``, once H is known
 to be positive definite.  The proof is tried cheapest first: a Gershgorin
@@ -39,7 +39,7 @@ from .potential import (
 _TOL = 1e-10       # relax_finite stops once ||dV/dR||_inf < _TOL
 _BULK_TOL = 1e-8   # relax_bulk's residual tolerance; its cutoff check allows 10 * _BULK_TOL
 _MAX_ITER = 200    # Newton iterations either relaxation may take
-DEFAULT_CUTOFF_CELLS = 32
+_CUTOFF_CELLS = 32  # every bulk lattice sum runs over cells |n| <= _CUTOFF_CELLS
 
 
 def relax_finite(spec: ChainSpec) -> Configuration:
@@ -73,6 +73,13 @@ def _newton_descent(x, evaluate, cap, tol, max_iter, what, iterate):
     a non-finite gradient raises NonFiniteMatrixError.  Returns
     (x, residual, Hessian at x, iterations, energy history) once
     ||gradient||_inf < tol; a failure's last_iterate is iterate(x, residual).
+
+    A trial point is accepted when e_new <= energy + 1e-4 alpha slope
+    + 8 eps |energy|.  Near convergence the Armijo decrease lies far below
+    the rounding of the energy itself; without the slack of a few ulps of
+    |energy|, rounding decided whether a full Newton step passed, and chains
+    that do relax stalled just above tol (the same slack as the "approximate
+    Wolfe" test of Hager and Zhang, SIAM J. Optim. 16, 170 (2005)).
     """
     energy, derivatives = evaluate(x)
     grad, hess = derivatives()
@@ -93,11 +100,12 @@ def _newton_descent(x, evaluate, cap, tol, max_iter, what, iterate):
         if biggest > cap:
             step = step * (cap / biggest)
         slope = float(grad @ step)
+        slack = 8.0 * np.finfo(float).eps * abs(energy)
         alpha = 1.0
         while alpha > 1e-14:
             trial = x + alpha * step
             e_new, derivatives = evaluate(trial)
-            if e_new <= energy + 1e-4 * alpha * slope:
+            if e_new <= energy + 1e-4 * alpha * slope + slack:
                 break
             alpha *= 0.5
         else:
@@ -177,7 +185,6 @@ class BulkEquilibrium:
     delta_a: np.ndarray  # (3,)
     delta_b: np.ndarray  # (3,)
     residual_inf_norm: float
-    cutoff_cells: int
     n_iterations: int
 
     @property
@@ -255,30 +262,28 @@ def _solve_bulk(spec: ChainSpec, tol: float, cutoff_cells: int, max_iter: int):
     return x.reshape(2, 3), residual, n_iter
 
 
-def relax_bulk(spec: ChainSpec, cutoff_cells: int = DEFAULT_CUTOFF_CELLS) -> BulkEquilibrium:
+def relax_bulk(spec: ChainSpec) -> BulkEquilibrium:
     """Displacements (delta_A, delta_B) of the infinite chain under the
     ansatz that every cell moves identically.
 
-    Neighbor sums run over |n| <= cutoff_cells.  The Newton descent stops
-    once the residual is below 1e-8 (``_BULK_TOL``), in at most 200
-    iterations (``_MAX_ITER``).  The solve is repeated at twice the cutoff
-    and NonConvergedCutoffError is raised if the answer moves by more than
+    Neighbor sums run over the fixed cutoff |n| <= 32 (``_CUTOFF_CELLS``),
+    as every bulk lattice sum does.  The Newton descent stops once the
+    residual is below 1e-8 (``_BULK_TOL``), in at most 200 iterations
+    (``_MAX_ITER``).  The solve is repeated at 64 cells, and
+    NonConvergedCutoffError is raised if the answer moves by more than
     10 * 1e-8.
     """
-    if cutoff_cells < 1:
-        raise ValueError("cutoff_cells must be >= 1")
-    deltas, residual, n_iter = _solve_bulk(spec, _BULK_TOL, cutoff_cells, _MAX_ITER)
-    deltas2, _, _ = _solve_bulk(spec, _BULK_TOL, 2 * cutoff_cells, _MAX_ITER)
+    deltas, residual, n_iter = _solve_bulk(spec, _BULK_TOL, _CUTOFF_CELLS, _MAX_ITER)
+    deltas2, _, _ = _solve_bulk(spec, _BULK_TOL, 2 * _CUTOFF_CELLS, _MAX_ITER)
     drift = float(np.abs(deltas2 - deltas).max())
     if drift > 10.0 * _BULK_TOL:
         raise NonConvergedCutoffError(
-            f"doubling cutoff_cells from {cutoff_cells} moved the bulk displacements "
-            f"by {drift:.3e} (> 10*tol = {10 * _BULK_TOL:.3e}); increase cutoff_cells"
+            f"doubling the lattice-sum cutoff from {_CUTOFF_CELLS} cells moved the bulk "
+            f"displacements by {drift:.3e} (> 10*tol = {10 * _BULK_TOL:.3e})"
         )
     return BulkEquilibrium(
         delta_a=deltas[0].copy(),
         delta_b=deltas[1].copy(),
         residual_inf_norm=residual,
-        cutoff_cells=cutoff_cells,
         n_iterations=n_iter,
     )

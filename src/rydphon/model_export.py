@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__ as _version
 from .atom_phonon import CouplingGrid, coupling_grid
 from .bands import BandStructure, DEFAULT_Q_POINTS, band_structure, q_grid
+from .equilibrium import _CUTOFF_CELLS
 from .errors import ConfigError, SchemaMismatchError
 from .geometry import ChainSpec, _read_json, spec_from_dict, spec_to_dict
 
@@ -61,10 +62,10 @@ _REQUIRED_KEYS = (("provenance", "chain_spec"), *_NUMERIC_SHAPES)
 _ABSENT = object()
 
 
-def conventions_dict(cutoff_cells: int, relaxed: bool) -> dict:
+def conventions_dict(relaxed: bool) -> dict:
     return {
         **CONVENTIONS,
-        "cutoff_cells": cutoff_cells,
+        "cutoff_cells": _CUTOFF_CELLS,
         "rho_z_source": "trap",  # coupling phases always use the trap-center offsets
         "geometry": "relaxed" if relaxed else "trap-centers",
         "q_grid": "uniform-open-left-endpoint-at-pi-over-a",
@@ -112,7 +113,7 @@ def assemble(
     return ExtendedHHModel(
         spec=spec, t=float(t), U=float(U), g_cp=float(g_cp),
         bands=bands, couplings=coupling_grid(bands),
-        conventions=conventions_dict(bands.cutoff_cells, bands.relaxed),
+        conventions=conventions_dict(bands.relaxed),
     )
 
 
@@ -316,8 +317,10 @@ def _at(doc: dict, path: tuple):
 def validate_document(doc: dict) -> dict:
     """Check every key that deserialize reads; return its numbers as arrays by path.
 
-    t, U and g_cp must be finite numbers; the arrays must hold finite
-    numbers and agree on the q count, 6 bands and 6 components.
+    conventions.cutoff_cells must be the integer 32 (``_CUTOFF_CELLS``), the
+    cutoff at which band_diagnostics sums the bands' bulk again; t, U and g_cp
+    must be finite numbers; the arrays must hold finite numbers and agree on
+    the q count, 6 bands and 6 components.
     """
     if not isinstance(doc, dict):
         raise SchemaMismatchError("model document is not a JSON object")
@@ -335,8 +338,8 @@ def validate_document(doc: dict) -> dict:
     if lacking:
         raise SchemaMismatchError(
             f"provenance.conventions lacks required key(s): {', '.join(lacking)}")
-    if type(conv["cutoff_cells"]) is not int or conv["cutoff_cells"] < 1:
-        raise SchemaMismatchError("provenance.conventions.cutoff_cells must be a positive integer,"
+    if type(conv["cutoff_cells"]) is not int or conv["cutoff_cells"] != _CUTOFF_CELLS:
+        raise SchemaMismatchError(f"provenance.conventions.cutoff_cells must be {_CUTOFF_CELLS},"
                                   f" got {conv['cutoff_cells']!r}")
     arrays = {}
     for path, shape in _NUMERIC_SHAPES.items():
@@ -372,10 +375,8 @@ def deserialize(path) -> ExtendedHHModel:
     xi = (
         arrays["phonons", "xi_re", "values"] + 1j * arrays["phonons", "xi_im", "values"]
     ).transpose(2, 1, 0)
-    bands = BandStructure(
-        q_grid=q, omega=omega, xi=xi, spec=spec,
-        cutoff_cells=conv["cutoff_cells"], relaxed=conv.get("geometry") == "relaxed",
-    )
+    bands = BandStructure(q_grid=q, omega=omega, xi=xi, spec=spec,
+                          relaxed=conv.get("geometry") == "relaxed")
     m = (arrays["couplings", "m_re", "values"] + 1j * arrays["couplings", "m_im", "values"]).T
     grid = CouplingGrid(q_grid=q, m_complex=m, m_abs=np.abs(m),
                         rho0_values=arrays["couplings", "rho0"], omega=omega, spec=spec)

@@ -1,16 +1,18 @@
 """The public surface of ``rydphon``: its exported names, the options of its
-exported functions and the fixed numerical settings behind them.
+exported functions and command-line subcommands, and the fixed numerical
+settings behind them.
 
-A new exported name or a new defaulted parameter fails here until it is
-added below on purpose; so does a changed fixed setting.
+A new exported name, defaulted parameter or command-line flag fails here
+until it is added below on purpose; so does a changed fixed setting.
 """
 
+import argparse
 import inspect
 
 import pytest
 
 import rydphon
-from rydphon import atom_phonon, bands, equilibrium, local_phonons
+from rydphon import atom_phonon, bands, cli, equilibrium, local_phonons
 
 EXPORTED = {
     "BandDiagnostics", "BandStructure", "BulkEquilibrium", "ChainSpec", "CoincidentAtomsError",
@@ -30,12 +32,22 @@ EXPORTED = {
 # every defaulted parameter of an exported function, with its default
 OPTIONS = {
     "assemble": {"q_points": 256, "relax": False},
-    "band_structure": {"q_points": 256, "cutoff_cells": 32, "relax": False},
+    "band_structure": {"q_points": 256, "relax": False},
     "fd_gradient": {"step": 1e-5},
     "fd_hessian": {"step": 1e-4},
     "finite_spectrum": {"relax": False, "q_points": 256},
     "local_phonon_model": {"relax": False},
-    "relax_bulk": {"cutoff_cells": 32},
+}
+
+# the option strings of every subcommand, without -h and --help
+CLI_FLAGS = {
+    "bands": {"--q-points", "--relax", "--out"},
+    "spectrum": {"--relax", "--out"},
+    "local": {"--relax", "--out-g", "--out-j"},
+    "coupling": {"--q-points", "--relax", "--out"},
+    "sweep": {"--q-points", "--param", "--from", "--to", "--steps", "--out"},
+    "export": {"--q-points", "--relax", "--t", "--U", "--gcp", "--out"},
+    "check": set(),
 }
 
 # the settings each result is computed with, as the README lists them
@@ -43,6 +55,7 @@ FIXED = {
     (equilibrium, "_TOL"): 1e-10,
     (equilibrium, "_BULK_TOL"): 1e-8,
     (equilibrium, "_MAX_ITER"): 200,
+    (equilibrium, "_CUTOFF_CELLS"): 32,
     (bands, "_MIN_RUN"): 3,
     (bands, "_CONCAVITY_WINDOW"): 0.5,
     (bands, "_CONCAVITY_NODES"): 64,
@@ -73,7 +86,16 @@ def test_options_of_exported_functions():
             if defaults:
                 options[name] = defaults
     assert options == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 11
+    assert sum(map(len, OPTIONS.values())) == 9
+
+
+def test_flags_of_cli_subcommands():
+    parser = cli.build_parser()
+    subcommands = next(action.choices for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    flags = {name: {flag for action in sub._actions for flag in action.option_strings}
+             - {"-h", "--help"} for name, sub in subcommands.items()}
+    assert flags == CLI_FLAGS
 
 
 @pytest.mark.parametrize("where, value", FIXED.items(),

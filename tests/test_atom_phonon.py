@@ -81,7 +81,7 @@ def test_modulus_convention_sign_invariance():
     xi_flipped[:, 5, :] *= -1.0
     flipped = BandStructure(
         q_grid=bands.q_grid, omega=bands.omega, xi=xi_flipped,
-        spec=spec, cutoff_cells=bands.cutoff_cells, relaxed=bands.relaxed,
+        spec=spec, relaxed=bands.relaxed,
     )
     m = coupling_grid(bands).m_complex
     m_flipped = coupling_grid(flipped).m_complex
@@ -164,7 +164,7 @@ def test_zero_frequency_rejected():
     bands = band_structure(spec, q_points=8)
     broken = BandStructure(
         q_grid=bands.q_grid, omega=np.zeros_like(bands.omega), xi=bands.xi,
-        spec=spec, cutoff_cells=bands.cutoff_cells, relaxed=False,
+        spec=spec, relaxed=False,
     )
     with pytest.raises(ZeroFrequencyError):
         coupling_grid(broken)
@@ -205,7 +205,7 @@ def test_zero_frequency_message_names_first_bad_q():
     omega[[5, 9], 3] = 0.0
     broken = BandStructure(
         q_grid=bands.q_grid, omega=omega, xi=bands.xi,
-        spec=spec, cutoff_cells=bands.cutoff_cells, relaxed=False,
+        spec=spec, relaxed=False,
     )
     with pytest.raises(ZeroFrequencyError) as expected:
         _coupling_by_loop(broken, spec, base_offsets(spec)[:, 2])

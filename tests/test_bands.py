@@ -22,7 +22,6 @@ from rydphon import (
 )
 from rydphon import bands as bands_module
 from rydphon.bands import (
-    DEFAULT_CUTOFF_CELLS,
     _best_permutations,
     _dynamical_matrices,
     _gauge_fix,
@@ -44,8 +43,8 @@ def test_q_grid_open_left_closed_right():
 
 
 def _bloch(qs, spec, deltas=np.zeros((2, 3))):
-    """Bloch matrices at the quasimomenta qs, summed over the default cutoff."""
-    return _dynamical_matrices(qs, spec, deltas, DEFAULT_CUTOFF_CELLS)
+    """Bloch matrices at the quasimomenta qs; at the trap centers unless deltas are given."""
+    return _dynamical_matrices(qs, spec, deltas)
 
 
 def test_dynamical_matrix_flat_without_dipoles():
@@ -245,7 +244,7 @@ def test_relaxed_concavity_is_that_of_a_fresh_relaxed_bulk(monkeypatch):
     bands = band_structure(spec, q_points=8, relax=True)
     edge = 0.5 * np.pi / spec.a
     x, w = np.polynomial.legendre.leggauss(64)
-    dyn = _dynamical_matrices(edge * x, spec, relax_bulk(spec).deltas, DEFAULT_CUTOFF_CELLS)
+    dyn = _dynamical_matrices(edge * x, spec, relax_bulk(spec).deltas)
     moment = (w * (1.5 * x**2 - 0.5)) @ np.sqrt(np.linalg.eigvalsh(dyn) / spec.mass)
     calls = []
     monkeypatch.setattr(bands_module, "relax_bulk",
@@ -528,7 +527,7 @@ def test_best_permutations_break_ties_in_itertools_order():
 def test_resolved_eigenvectors_match_per_column_loop(kwargs, q_points):
     spec = paper_spec(**kwargs)
     qs = q_grid(spec, q_points)
-    dyn = _dynamical_matrices(qs, spec, np.zeros((2, 3)), DEFAULT_CUTOFF_CELLS)
+    dyn = _dynamical_matrices(qs, spec, np.zeros((2, 3)))
     lam, vec = np.linalg.eigh(dyn)
     xi = band_structure(spec, q_points=q_points).xi
     assert xi.tobytes() == _resolve_by_loop(lam, vec).tobytes()

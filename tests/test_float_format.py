@@ -118,11 +118,11 @@ def _hand_built_model(n_q: int) -> ExtendedHHModel:
     omega = draw(n_q, 6)
     m = draw(n_q, 6) + 1j * draw(n_q, 6)
     bands = BandStructure(q_grid=qs, omega=omega, xi=draw(n_q, 6, 6) + 1j * draw(n_q, 6, 6),
-                          spec=spec, cutoff_cells=32, relaxed=False)
+                          spec=spec, relaxed=False)
     grid = CouplingGrid(q_grid=qs, m_complex=m, m_abs=np.abs(m), rho0_values=draw(n_q),
                         omega=omega, spec=spec)
     return ExtendedHHModel(spec=spec, t=2.5e-5, U=1e16, g_cp=0.5, bands=bands, couplings=grid,
-                           conventions=conventions_dict(32, False))
+                           conventions=conventions_dict(False))
 
 
 def _reference_text(model: ExtendedHHModel) -> str:

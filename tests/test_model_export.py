@@ -221,13 +221,15 @@ _MALFORMED_HEADERS = {
     "conventions-string": (("provenance", "conventions"), "abc",
                            "provenance.conventions must be a JSON object"),
     "cutoff-string": (("provenance", "conventions", "cutoff_cells"), "abc",
-                      "cutoff_cells must be a positive integer, got 'abc'"),
+                      "cutoff_cells must be 32, got 'abc'"),
     "cutoff-zero": (("provenance", "conventions", "cutoff_cells"), 0,
-                    "cutoff_cells must be a positive integer, got 0"),
+                    "cutoff_cells must be 32, got 0"),
     "cutoff-float": (("provenance", "conventions", "cutoff_cells"), 32.0,
-                     "cutoff_cells must be a positive integer, got 32.0"),
+                     "cutoff_cells must be 32, got 32.0"),
     "cutoff-true": (("provenance", "conventions", "cutoff_cells"), True,
-                    "cutoff_cells must be a positive integer, got True"),
+                    "cutoff_cells must be 32, got True"),
+    "cutoff-other": (("provenance", "conventions", "cutoff_cells"), 8,
+                     "cutoff_cells must be 32, got 8"),
 }
 
 

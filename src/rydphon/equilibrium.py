@@ -5,9 +5,9 @@ chain under the ansatz that every cell shares the per-base displacements
 (delta_A, delta_B).  Both run one descent, ``_newton_descent``: capped
 Newton steps from the analytic gradient and Hessian, each accepted once
 an Armijo backtracking search has lowered the energy, up to 8 ulps of it.
-``relax_finite`` returns the Hessian at the solution with the relaxed
-positions; the relaxed finite spectrum and local-phonon model use it as
-their harmonic matrix, so each relaxed chain's Hessian is built once.
+``relax_finite`` builds one pair geometry per point for the energy, gradient
+and Hessian kernels of ``potential``, fills one Hessian buffer, and returns
+it with the positions as the relaxed pipelines' harmonic matrix (built once).
 
 Each Newton step solves H p = -g with ``np.linalg.solve``, once H is known
 to be positive definite.  The proof is tried cheapest first: a Gershgorin
@@ -28,12 +28,13 @@ from .errors import CoincidentAtomsError, MaxIterExceededError, NonConvergedCuto
 from .geometry import ChainSpec, Configuration, base_offsets, trap_centers
 from .potential import (
     MIN_SEPARATION,
+    _energy,
+    _gradient,
+    _hessian,
     _pair_gradients,
     _pair_hessians,
+    _pairs,
     _require_finite,
-    gradient,
-    hessian,
-    total_energy,
 )
 
 _TOL = 1e-10       # relax_finite stops once ||dV/dR||_inf < _TOL
@@ -45,22 +46,30 @@ _CUTOFF_CELLS = 32  # every bulk lattice sum runs over cells |n| <= _CUTOFF_CELL
 def relax_finite(spec: ChainSpec) -> Configuration:
     """Relax a finite chain from the trap centers until ||dV/dR||_inf < 1e-10
     (``_TOL``), in at most 200 Newton iterations (``_MAX_ITER``); more raise
-    MaxIterExceededError.
+    MaxIterExceededError.  Below the relaxed-existence edge the descent drives
+    two atoms together: CoincidentAtomsError then says no equilibrium was found.
 
     The returned configuration carries the Hessian at the solution; its
-    ``stable`` flag and ``min_hessian_eigenvalue`` are computed from it on
-    first use.
+    ``stable`` flag and ``min_hessian_eigenvalue`` are computed on first use.
     """
+    centers = trap_centers(spec).positions
+    pairs = np.triu_indices(spec.n_atoms, 1)
+    hess = np.empty((centers.size, centers.size))  # every accepted point's Hessian
 
     def evaluate(x):
-        config = Configuration(x.reshape(-1, 3))
-        return (total_energy(config, spec),
-                lambda: (gradient(config, spec), hessian(config, spec)))
+        positions = x.reshape(-1, 3)
+        geometry = _pairs(positions, spec, pairs)
+        return (_energy(positions, centers, spec, geometry),
+                lambda: (_gradient(positions, centers, spec, geometry),
+                         _hessian(spec, geometry, hess)))
 
-    x, residual, hess, n_iter, history = _newton_descent(
-        trap_centers(spec).positions.reshape(-1).copy(), evaluate, _step_cap(spec),
-        _TOL, _MAX_ITER, "finite", lambda x, residual: Configuration(x.reshape(-1, 3), residual),
-    )
+    try:
+        x, residual, hess, n_iter, history = _newton_descent(
+            centers.reshape(-1).copy(), evaluate, _step_cap(spec), _TOL, _MAX_ITER,
+            "finite", lambda x, residual: Configuration(x.reshape(-1, 3), residual))
+    except CoincidentAtomsError as exc:
+        raise CoincidentAtomsError(f"no symmetric equilibrium found at d={spec.d:g}: {exc}; "
+                                   "see the README's relaxed-existence edges") from exc
     return Configuration(x.reshape(-1, 3), residual, relaxed=True, n_iterations=n_iter,
                          energy_history=tuple(history), hessian=hess)
 
@@ -82,12 +91,14 @@ def _newton_descent(x, evaluate, cap, tol, max_iter, what, iterate):
     Wolfe" test of Hager and Zhang, SIAM J. Optim. 16, 170 (2005)).
     """
     energy, derivatives = evaluate(x)
-    grad, hess = derivatives()
-    _require_finite(grad, f"{what} gradient")
     history = [energy]
-    residual = float(np.abs(grad).max())
     n_iter = 0
-    while residual >= tol:
+    while True:
+        grad, hess = derivatives()
+        _require_finite(grad, f"{what} gradient")
+        residual = float(np.abs(grad).max())
+        if residual < tol:
+            return x, residual, hess, n_iter, history
         if n_iter >= max_iter:
             raise MaxIterExceededError(
                 f"{what} relaxation did not reach tol={tol:g} in {max_iter} iterations "
@@ -116,11 +127,7 @@ def _newton_descent(x, evaluate, cap, tol, max_iter, what, iterate):
             )
         x, energy = trial, e_new
         history.append(energy)
-        grad, hess = derivatives()
-        _require_finite(grad, f"{what} gradient")
-        residual = float(np.abs(grad).max())
         n_iter += 1
-    return x, residual, hess, n_iter, history
 
 
 def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:

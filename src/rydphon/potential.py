@@ -18,10 +18,9 @@ MIN_SEPARATION = 1e-9
 _PAIR_CHUNK = 4096  # pairs per step of hessian's pair loops, so temporaries stay small
 
 
-def _pair_geometry(positions: np.ndarray, m_hat: np.ndarray):
-    """Separation vectors, norms and m-projections for all unordered pairs."""
-    n = positions.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
+def _pair_geometry(positions: np.ndarray, m_hat: np.ndarray, pairs=None):
+    """Separation vectors, norms and m-projections of the pairs (iu, ju), by default all."""
+    iu, ju = np.triu_indices(positions.shape[0], k=1) if pairs is None else pairs
     rvec = positions[iu] - positions[ju]
     rnorm = np.linalg.norm(rvec, axis=1)
     close = rnorm < MIN_SEPARATION
@@ -34,11 +33,11 @@ def _pair_geometry(positions: np.ndarray, m_hat: np.ndarray):
     return iu, ju, rvec, rnorm, s
 
 
-def _dipole_energy(positions: np.ndarray, m_hat: np.ndarray, v_dd: float) -> float:
-    if positions.shape[0] < 2 or v_dd == 0.0:
-        return 0.0
-    _, _, _, rnorm, s = _pair_geometry(positions, m_hat)
-    return float(v_dd * np.sum((rnorm**2 - 3.0 * s**2) / rnorm**5))
+def _pairs(positions: np.ndarray, spec: ChainSpec, pairs=None):
+    """The _pair_geometry that _energy, _gradient and _hessian read, or None without pairs."""
+    if spec.v_dd == 0.0 or positions.shape[0] < 2:
+        return None
+    return _pair_geometry(positions, spec.m_hat, pairs)
 
 
 def _pair_gradients(rvec, rnorm, s, m_hat, v_dd):
@@ -87,19 +86,34 @@ def total_energy(config: Configuration, spec: ChainSpec) -> float:
         raise ValueError(
             f"configuration has {config.n_atoms} atoms, spec expects {spec.n_atoms}"
         )
-    disp = config.positions - trap_centers(spec).positions
-    trap = 0.5 * spec.mass * float(np.sum((spec.nu_array[None, :] * disp) ** 2))
-    return trap + _dipole_energy(config.positions, spec.m_hat, spec.v_dd)
+    positions = config.positions
+    return _energy(positions, trap_centers(spec).positions, spec, _pairs(positions, spec))
 
 
 def gradient(config: Configuration, spec: ChainSpec) -> np.ndarray:
     """Analytic dV/dR, flattened in (cell, base, x/y/z) order."""
     positions = config.positions
-    centers = trap_centers(spec).positions
-    nu2 = spec.nu_array**2
-    grad = (spec.mass * nu2[None, :] * (positions - centers)).reshape(-1)
-    if spec.v_dd != 0.0 and positions.shape[0] > 1:
-        iu, ju, rvec, rnorm, s = _pair_geometry(positions, spec.m_hat)
+    return _gradient(positions, trap_centers(spec).positions, spec, _pairs(positions, spec))
+
+
+def hessian(config: Configuration, spec: ChainSpec) -> np.ndarray:
+    """Analytic d2V/dR2 as a symmetric (3N, 3N) matrix (see ``_hessian``)."""
+    hess = np.zeros((config.positions.size,) * 2)  # before the pair arrays: lower peak RSS
+    return _hessian(spec, _pairs(config.positions, spec), hess)
+
+
+def _energy(positions, centers, spec: ChainSpec, geometry) -> float:
+    trap = 0.5 * spec.mass * float(np.sum((spec.nu_array[None, :] * (positions - centers)) ** 2))
+    if geometry is None:
+        return trap
+    _, _, _, rnorm, s = geometry
+    return trap + float(spec.v_dd * np.sum((rnorm**2 - 3.0 * s**2) / rnorm**5))
+
+
+def _gradient(positions, centers, spec: ChainSpec, geometry) -> np.ndarray:
+    grad = (spec.mass * spec.nu_array[None, :]**2 * (positions - centers)).reshape(-1)
+    if geometry is not None:
+        iu, ju, rvec, rnorm, s = geometry
         g = _pair_gradients(rvec, rnorm, s, spec.m_hat, spec.v_dd)
         # a flat (3N,) target takes np.add.at's fast one-dimensional path
         for atoms, part in ((iu, g), (ju, -g)):
@@ -107,20 +121,20 @@ def gradient(config: Configuration, spec: ChainSpec) -> np.ndarray:
     return grad
 
 
-def hessian(config: Configuration, spec: ChainSpec) -> np.ndarray:
-    """Analytic d2V/dR2 as a symmetric (3N, 3N) matrix.
+def _hessian(spec: ChainSpec, geometry, hess: np.ndarray) -> np.ndarray:
+    """hessian from the ``_pairs`` geometry, written into hess and returned.
 
-    Written in place through its (N, 3, N, 3) view: each off-diagonal block
-    once, as 0 - H_pair (which keeps +0.0 entries +0.0), and each diagonal
-    block as np.add.at sums over the pairs' first atoms, then their second
-    ones.  Raises NonFiniteMatrixError if an entry is not finite (extreme
-    spacings overflow the pair formula).
+    Every entry is written in place through the (N, 3, N, 3) view, so hess is
+    zeroed only without pairs: each off-diagonal block once, as 0 - H_pair
+    (which keeps +0.0 entries +0.0), and each diagonal block as np.add.at sums
+    over the pairs' first atoms, then their second ones.  Raises
+    NonFiniteMatrixError on a non-finite entry (extreme spacings overflow).
     """
-    positions = config.positions
-    n = positions.shape[0]
-    hess = np.zeros((3 * n, 3 * n))
-    if spec.v_dd != 0.0 and n > 1:
-        iu, ju, rvec, rnorm, s = _pair_geometry(positions, spec.m_hat)
+    n = hess.shape[0] // 3
+    if geometry is None:
+        hess.fill(0.0)
+    else:
+        iu, ju, rvec, rnorm, s = geometry
         hp = np.empty((len(iu), 3, 3))
         for lo in range(0, len(iu), _PAIR_CHUNK):
             pairs = slice(lo, lo + _PAIR_CHUNK)
@@ -144,8 +158,7 @@ def hessian(config: Configuration, spec: ChainSpec) -> np.ndarray:
                           hp[pairs].ravel())
         diag = np.arange(n)
         blocks[diag, :, diag, :] = self_blocks.reshape(n, 3, 3)
-    trap_diag = np.tile(spec.mass * spec.nu_array**2, n)
-    hess[np.diag_indices(3 * n)] += trap_diag
+    hess[np.diag_indices(3 * n)] += np.tile(spec.mass * spec.nu_array**2, n)
     _require_finite(hess, "Hessian")
     return hess
 

@@ -140,6 +140,23 @@ def test_unstable_chain_exits_one(tmp_path, capsys):
     assert "unstable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, outputs", [
+    ("spectrum", ["--out"]),
+    ("local", ["--out-g", "--out-j"]),
+])
+def test_relaxing_below_the_edge_names_the_missing_equilibrium(tmp_path, capsys, command,
+                                                               outputs):
+    """d = 1.6 lies below the 7-cell chain's relaxed-existence edge (1.884485):
+    the descent drives two atoms together, and the error says why."""
+    cfg = write_config(tmp_path, d=1.6)
+    paths = [a for k, flag in enumerate(outputs) for a in (flag, str(tmp_path / f"{k}.csv"))]
+    assert main([command, cfg, "--relax", *paths]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no symmetric equilibrium found at d=1.6: ")
+    assert "atoms 2 and 3 coincide" in err
+    assert "relaxed-existence edges" in err
+
+
 def test_spectrum_topological_edge_modes(tmp_path, capsys):
     cfg = write_config(tmp_path, topology="topological")
     out = tmp_path / "spectrum.csv"

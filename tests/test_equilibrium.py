@@ -1,4 +1,3 @@
-import importlib
 import sys
 from pathlib import Path
 
@@ -7,6 +6,8 @@ import pytest
 
 from rydphon import (
     ChainSpec,
+    CoincidentAtomsError,
+    Configuration,
     MaxIterExceededError,
     NonConvergedCutoffError,
     NonFiniteMatrixError,
@@ -24,7 +25,7 @@ from rydphon import (
     total_energy,
     trap_centers,
 )
-from rydphon import equilibrium
+from rydphon import equilibrium, potential
 from rydphon.bands import _freqs_from_lambda
 from rydphon.equilibrium import _certified_positive_definite, _newton_direction, _solve_bulk
 from rydphon.geometry import load_chain_spec
@@ -206,23 +207,89 @@ def test_relaxed_pipelines_match_a_rebuilt_hessian_bit_for_bit(case):
     assert model.h.tobytes() == h.tobytes()
 
 
+_ORACLE_SPECS = {**_REUSE_SPECS, "no-dipoles": paper_spec(n_cells=8, v_dd=0.0)}
+
+
+@pytest.mark.parametrize("case", _ORACLE_SPECS)
+def test_relaxed_hessian_and_energy_match_the_public_functions_bit_for_bit(case):
+    """relax_finite evaluates through the private kernels, with one pair
+    geometry per point and one Hessian buffer per call; the public functions
+    give the same bytes at the relaxed positions.  v_dd = 0 takes the path
+    without pairs, which zeroes the buffer."""
+    spec = _ORACLE_SPECS[case]
+    relaxed = relax_finite(spec)
+    at = Configuration(relaxed.positions)
+    assert relaxed.hessian.tobytes() == hessian(at, spec).tobytes()
+    assert relaxed.energy_history[-1].hex() == total_energy(at, spec).hex()
+    # the kernel writes every entry, whatever the buffer held
+    n3 = 3 * spec.n_atoms
+    garbage = np.full((n3, n3), np.nan)
+    filled = potential._hessian(spec, potential._pairs(at.positions, spec), garbage)
+    assert filled is garbage and filled.tobytes() == relaxed.hessian.tobytes()
+    assert relax_finite(spec).hessian is not relaxed.hessian
+
+
+def _counting(calls, function):
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+    return counted
+
+
 @pytest.mark.parametrize("topology", [Topology.TRIVIAL, Topology.TOPOLOGICAL])
 def test_relaxed_pipelines_build_one_hessian_per_newton_point(monkeypatch, topology):
+    """Counts the Hessian kernel, which relax_finite calls and hessian() wraps."""
     spec = paper_spec(n_cells=8, topology=topology)
     expected = relax_finite(spec).n_iterations + 1
     calls = []
-
-    def counted(config, spec):
-        calls.append(config)
-        return hessian(config, spec)
-
-    for name in ("equilibrium", "bands", "local_phonons"):
-        monkeypatch.setattr(importlib.import_module(f"rydphon.{name}"), "hessian", counted)
+    kernel = potential._hessian
+    for name, module in list(sys.modules.items()):
+        if (name == "rydphon" or name.startswith("rydphon.")) \
+                and getattr(module, "_hessian", None) is kernel:
+            monkeypatch.setattr(module, "_hessian", _counting(calls, kernel))
     finite_spectrum(spec, relax=True)
     assert len(calls) == expected
     calls.clear()
     local_phonon_model(spec, relax=True)
     assert len(calls) == expected
+
+
+def test_relax_finite_builds_one_pair_geometry_per_evaluated_point(monkeypatch):
+    """Energy, gradient and Hessian of a point share its pair geometry, the
+    pair indices are made once per relaxation, and every Hessian goes into
+    one buffer.  Below the relaxed-existence edge (d = 1.6) the line search
+    also rejects trial points, which build a geometry but no Hessian."""
+    points, geometries, index_sets, hessians = [], [], [], []
+    descent = equilibrium._newton_descent
+
+    def counted_descent(x, evaluate, *args):
+        return descent(x, _counting(points, evaluate), *args)
+
+    monkeypatch.setattr(equilibrium, "_newton_descent", counted_descent)
+    monkeypatch.setattr(potential, "_pair_geometry", _counting(geometries, potential._pair_geometry))
+    monkeypatch.setattr(np, "triu_indices", _counting(index_sets, np.triu_indices))
+    monkeypatch.setattr(equilibrium, "_hessian", _counting(hessians, equilibrium._hessian))
+    relaxed = relax_finite(paper_spec(n_cells=8, topology=Topology.TOPOLOGICAL))
+    assert len(geometries) == len(points) == relaxed.n_iterations + 1
+    assert len(index_sets) == 1
+    assert len(hessians) == relaxed.n_iterations + 1
+    assert all(args[2] is relaxed.hessian for args in hessians)
+    for counts in (points, geometries, index_sets, hessians):
+        counts.clear()
+    with pytest.raises(CoincidentAtomsError):
+        relax_finite(paper_spec(d=1.6))
+    assert len(geometries) == len(points) > len(hessians) + 1
+    assert len(index_sets) == 1
+    assert len({id(args[2]) for args in hessians}) == 1
+
+
+def test_relax_finite_below_the_edge_names_the_missing_equilibrium():
+    with pytest.raises(CoincidentAtomsError,
+                       match="no symmetric equilibrium found at d=1.6: ") as info:
+        relax_finite(paper_spec(d=1.6))
+    assert "relaxed-existence edges" in str(info.value)
+    cause = info.value.__cause__
+    assert isinstance(cause, CoincidentAtomsError) and "coincide" in str(cause)
 
 
 def _no_eigvalsh(*args, **kwargs):

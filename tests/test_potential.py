@@ -19,7 +19,7 @@ from rydphon import (
 )
 from rydphon.potential import (
     _PAIR_CHUNK,
-    _dipole_energy,
+    _energy,
     _pair_geometry,
     _pair_gradients,
     _pair_hessians,
@@ -33,10 +33,15 @@ def perturbed(spec, rng, scale=0.05):
     return Configuration(pos, 0.0, False)
 
 
+def dipole_energy(positions, m_hat, spec):
+    """_energy with the positions as their own trap centers: the pair part alone."""
+    return _energy(positions, positions, spec, _pair_geometry(positions, m_hat))
+
+
 def two_atom_dipole_energy(r, theta):
     """Dipolar energy (v_dd = 1) of two atoms separated by r, dipoles at polar angle theta."""
     spec = ChainSpec(n_cells=1, d=2.0, theta=theta, v_dd=1.0)
-    return _dipole_energy(np.array([r, [0.0, 0.0, 0.0]]), spec.m_hat, spec.v_dd)
+    return dipole_energy(np.array([r, [0.0, 0.0, 0.0]]), spec.m_hat, spec)
 
 
 def test_pair_energy_head_to_tail():
@@ -345,7 +350,7 @@ def _rotation(axis, angle):
 def test_total_energy_rotation_invariance(rng, axis, angle):
     spec = paper_spec(n_cells=4)
     positions = perturbed(spec, rng).positions
-    base = _dipole_energy(positions, spec.m_hat, spec.v_dd)
+    base = dipole_energy(positions, spec.m_hat, spec)
     rot = _rotation(axis, angle)
-    rotated = _dipole_energy(positions @ rot.T, rot @ spec.m_hat, spec.v_dd)
+    rotated = dipole_energy(positions @ rot.T, rot @ spec.m_hat, spec)
     assert abs(base - rotated) < 1e-12 * max(1.0, abs(base))

@@ -15,10 +15,10 @@ from itertools import permutations
 
 import numpy as np
 
-from .equilibrium import _CUTOFF_CELLS, relax_bulk, relax_finite
-from .errors import CoincidentAtomsError, ImaginaryFrequencyError
+from .equilibrium import _CUTOFF_CELLS, _bulk_partners, relax_bulk, relax_finite
+from .errors import ImaginaryFrequencyError
 from .geometry import ChainSpec, base_offsets, trap_centers
-from .potential import MIN_SEPARATION, _pair_hessians, _require_finite, hessian
+from .potential import _pair_hessians, _require_finite, _separations, hessian
 
 DEFAULT_Q_POINTS = 256
 DEGENERACY_TOL = 1e-10
@@ -53,36 +53,24 @@ def _real_space_blocks(spec: ChainSpec, deltas: np.ndarray):
 
     Returns (cells, blocks) with blocks[n_idx] the 6x6 real matrix
     d2V/du_{0,alpha,i} du_{n,beta,j}; the n=0 diagonal gets the trap term
-    plus the self sum over every truncated partner.
+    plus the sums of ``potential``'s pair Hessians over alpha's
+    ``equilibrium._bulk_partners`` of base A, then of base B.
     """
     offs = base_offsets(spec) + deltas
     cells = np.arange(-_CUTOFF_CELLS, _CUTOFF_CELLS + 1)
-    n_cells = len(cells)
-    zero_idx = _CUTOFF_CELLS
-    blocks = np.zeros((n_cells, 6, 6))
-    m_hat = spec.m_hat
-    for a in range(2):
-        blocks[zero_idx, 3 * a:3 * a + 3, 3 * a:3 * a + 3] += np.diag(
-            spec.mass * spec.nu_array**2
-        )
-        for b in range(2):
-            rel = cells[:, None] * spec.a * np.array([0.0, 0.0, 1.0])[None, :] \
-                + (offs[b] - offs[a])[None, :]
-            keep = ~((cells == 0) & (a == b))
-            rvec = rel[keep]
-            rnorm = np.linalg.norm(rvec, axis=1)
-            if float(rnorm.min()) < MIN_SEPARATION:
-                k = int(np.argmin(rnorm))
-                raise CoincidentAtomsError(
-                    f"base {'AB'[a]} of cell 0 and base {'AB'[b]} of cell {cells[keep][k]} "
-                    f"coincide (separation {rnorm[k]:.3e})"
-                )
-            s = rvec @ m_hat
-            hp = _pair_hessians(rvec, rnorm, s, m_hat, spec.v_dd)
-            # cross blocks are -H(r); every partner adds +H to the self block
-            blocks[keep, 3 * a:3 * a + 3, 3 * b:3 * b + 3] -= hp
-            blocks[zero_idx, 3 * a:3 * a + 3, 3 * a:3 * a + 3] += hp.sum(axis=0)
-    return cells, blocks
+    blocks = np.zeros((len(cells), 2, 3, 2, 3))
+    for a, (n, b) in enumerate(_bulk_partners(_CUTOFF_CELLS)):
+        rvec = n[:, None] * spec.a * np.array([0.0, 0.0, 1.0]) + (offs[b] - offs[a])
+        rnorm, s = _separations(rvec, spec.m_hat, lambda k: (
+            f"base {'AB'[a]} of cell 0 and base {'AB'[b[k]]} of cell {n[k]}"))
+        hp = _pair_hessians(rvec, rnorm, s, spec.m_hat, spec.v_dd)
+        # cross blocks are -H(r); every partner adds +H to the self block
+        blocks[n + _CUTOFF_CELLS, a, :, b, :] -= hp
+        self_block = blocks[_CUTOFF_CELLS, a, :, a, :]
+        self_block += np.diag(spec.mass * spec.nu_array**2)
+        for beta in range(2):
+            self_block += hp[b == beta].sum(axis=0)
+    return cells, blocks.reshape(len(cells), 6, 6)
 
 
 def _dynamical_matrices(qs, spec: ChainSpec, deltas) -> np.ndarray:

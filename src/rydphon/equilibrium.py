@@ -8,6 +8,8 @@ an Armijo backtracking search has lowered the energy, up to 8 ulps of it.
 ``relax_finite`` builds one pair geometry per point for the energy, gradient
 and Hessian kernels of ``potential``, fills one Hessian buffer, and returns
 it with the positions as the relaxed pipelines' harmonic matrix (built once).
+The bulk's sums, like the bands' Bloch blocks, run over one partner list
+(``_bulk_partners``) and read ``potential``'s pair kernels.
 
 Each Newton step solves H p = -g with ``np.linalg.solve``, once H is known
 to be positive definite.  The proof is tried cheapest first: a Gershgorin
@@ -27,14 +29,15 @@ import numpy as np
 from .errors import CoincidentAtomsError, MaxIterExceededError, NonConvergedCutoffError
 from .geometry import ChainSpec, Configuration, base_offsets, trap_centers
 from .potential import (
-    MIN_SEPARATION,
     _energy,
     _gradient,
     _hessian,
+    _pair_energies,
     _pair_gradients,
     _pair_hessians,
     _pairs,
     _require_finite,
+    _separations,
 )
 
 _TOL = 1e-10       # relax_finite stops once ||dV/dR||_inf < _TOL
@@ -65,23 +68,28 @@ def relax_finite(spec: ChainSpec) -> Configuration:
 
     try:
         x, residual, hess, n_iter, history = _newton_descent(
-            centers.reshape(-1).copy(), evaluate, _step_cap(spec), _TOL, _MAX_ITER,
-            "finite", lambda x, residual: Configuration(x.reshape(-1, 3), residual))
+            centers.reshape(-1).copy(), evaluate, _step_cap(spec), _TOL, "finite",
+            lambda x, residual: Configuration(x.reshape(-1, 3), residual))
     except CoincidentAtomsError as exc:
-        raise CoincidentAtomsError(f"no symmetric equilibrium found at d={spec.d:g}: {exc}; "
-                                   "see the README's relaxed-existence edges") from exc
+        raise _no_equilibrium("", spec, exc) from exc
     return Configuration(x.reshape(-1, 3), residual, relaxed=True, n_iterations=n_iter,
                          energy_history=tuple(history), hessian=hess)
 
 
-def _newton_descent(x, evaluate, cap, tol, max_iter, what, iterate):
+def _no_equilibrium(what: str, spec: ChainSpec, exc: CoincidentAtomsError):
+    """The error a relaxation raises, from exc, when its descent drives two atoms together."""
+    return CoincidentAtomsError(f"no symmetric {what}equilibrium found at d={spec.d:g}: "
+                                f"{exc}; see the README's relaxed-existence edges")
+
+
+def _newton_descent(x, evaluate, cap, tol, what, iterate):
     """Capped Newton descent with Armijo backtracking on the flat vector x.
 
     evaluate(x) returns (energy, derivatives); derivatives() gives the
     (gradient, Hessian) at x and is called only at accepted points, where
-    a non-finite gradient raises NonFiniteMatrixError.  Returns
-    (x, residual, Hessian at x, iterations, energy history) once
-    ||gradient||_inf < tol; a failure's last_iterate is iterate(x, residual).
+    a non-finite gradient raises NonFiniteMatrixError.  Returns (x, residual,
+    Hessian at x, iterations, energy history) once ||gradient||_inf < tol, in at
+    most _MAX_ITER iterations; a failure's last_iterate is iterate(x, residual).
 
     A trial point is accepted when e_new <= energy + 1e-4 alpha slope
     + 8 eps |energy|.  Near convergence the Armijo decrease lies far below
@@ -99,9 +107,9 @@ def _newton_descent(x, evaluate, cap, tol, max_iter, what, iterate):
         residual = float(np.abs(grad).max())
         if residual < tol:
             return x, residual, hess, n_iter, history
-        if n_iter >= max_iter:
+        if n_iter >= _MAX_ITER:
             raise MaxIterExceededError(
-                f"{what} relaxation did not reach tol={tol:g} in {max_iter} iterations "
+                f"{what} relaxation did not reach tol={tol:g} in {_MAX_ITER} iterations "
                 f"(residual {residual:.3e})",
                 residual=residual,
                 last_iterate=iterate(x, residual),
@@ -199,29 +207,20 @@ class BulkEquilibrium:
         return np.vstack([self.delta_a, self.delta_b])
 
 
-def _bulk_partner_table(spec: ChainSpec, cutoff_cells: int):
-    """Partner offsets seen by each reference base atom, before displacements.
-
-    Returns one pair (rel, beta_of) per base alpha: row r of rel is the
-    partner's position minus the cell-0 base-alpha one at zero displacement,
-    and beta_of[r] the partner's base, whose delta moves it; same-sublattice
-    partners do not move relative to the reference atom.
-    """
-    offs = base_offsets(spec)
-    cells = np.arange(-cutoff_cells, cutoff_cells + 1)
-    tables = []
-    for alpha in range(2):
-        rel, beta_of = [], []
-        for beta in range(2):
-            n = cells[(cells != 0) | (beta != alpha)]
-            rel.append(n[:, None] * spec.a * np.array([0.0, 0.0, 1.0]) + offs[beta] - offs[alpha])
-            beta_of.append(np.full(len(n), beta))
-        tables.append((np.concatenate(rel), np.concatenate(beta_of)))
-    return tables
+def _bulk_partners(cutoff_cells: int):
+    """Per base alpha, the cells n and bases beta of its partners in the bulk
+    sums: every atom of cells |n| <= cutoff_cells but alpha of cell 0, by beta,
+    then n."""
+    n = np.tile(np.arange(-cutoff_cells, cutoff_cells + 1), 2)
+    beta = np.repeat([0, 1], 2 * cutoff_cells + 1)
+    keeps = ((n != 0) | (beta != alpha) for alpha in range(2))
+    return [(n[keep], beta[keep]) for keep in keeps]
 
 
-def _bulk_energy_force_hessian(deltas: np.ndarray, spec: ChainSpec, tables):
-    """Per-cell energy, its gradient (minus the force) and 6x6 Hessian.
+def _bulk_energy_force_hessian(deltas: np.ndarray, spec: ChainSpec, partners):
+    """Per-cell energy, its gradient (minus the force) and 6x6 Hessian, summed
+    over the ``_bulk_partners`` with ``potential``'s pair kernels; only the
+    cross-sublattice rows, which the Hessian reads, get pair Hessians.
 
     The per-cell Hessian coincides with the q=0 dynamical matrix, so the
     descent below converges precisely when the uniform phonon modes are
@@ -229,41 +228,38 @@ def _bulk_energy_force_hessian(deltas: np.ndarray, spec: ChainSpec, tables):
     """
     m_hat = spec.m_hat
     nu2 = spec.nu_array**2
+    offs = base_offsets(spec)
     energy = 0.5 * spec.mass * float(np.sum(nu2 * deltas**2))
     grad = spec.mass * nu2 * deltas
     hess = np.zeros((6, 6))
     hess[np.diag_indices(6)] += np.tile(spec.mass * nu2, 2)
-    for alpha in range(2):
-        rel, beta_of = tables[alpha]
-        rvec = deltas[alpha] - (rel + deltas[beta_of])
+    for alpha, (n, beta) in enumerate(partners):
         # rvec = R_{0,alpha} - R_{n,beta}; same-sublattice rows keep rvec = -rel
-        rnorm = np.linalg.norm(rvec, axis=1)
-        if float(rnorm.min()) < MIN_SEPARATION:
-            raise CoincidentAtomsError(
-                "bulk displacements drove two sublattices onto each other"
-            )
-        s = rvec @ m_hat
-        energy += 0.5 * spec.v_dd * float(np.sum((rnorm**2 - 3.0 * s**2) / rnorm**5))
+        rel = n[:, None] * spec.a * np.array([0.0, 0.0, 1.0]) + offs[beta] - offs[alpha]
+        rvec = deltas[alpha] - (rel + deltas[beta])
+        rnorm, s = _separations(rvec, m_hat, lambda k: (
+            f"bulk bases {'AB'[alpha]} of cell 0 and {'AB'[beta[k]]} of cell {n[k]}"))
+        energy += 0.5 * spec.v_dd * float(np.sum(_pair_energies(rnorm, s)))
         grad[alpha] += _pair_gradients(rvec, rnorm, s, m_hat, spec.v_dd).sum(axis=0)
-        hps = _pair_hessians(rvec, rnorm, s, m_hat, spec.v_dd)
-        other = 1 - alpha
-        h_cross = hps[beta_of == other].sum(axis=0)
-        a0, b0 = 3 * alpha, 3 * other
+        cross = beta != alpha
+        h_cross = _pair_hessians(rvec[cross], rnorm[cross], s[cross], m_hat,
+                                 spec.v_dd).sum(axis=0)
+        a0, b0 = 3 * alpha, 3 * (1 - alpha)
         hess[a0:a0 + 3, a0:a0 + 3] += h_cross
         hess[a0:a0 + 3, b0:b0 + 3] -= h_cross
     return energy, grad, hess
 
 
-def _solve_bulk(spec: ChainSpec, tol: float, cutoff_cells: int, max_iter: int):
+def _solve_bulk(spec: ChainSpec, tol: float, cutoff_cells: int):
     """Newton descent of the per-cell energy over (delta_A, delta_B)."""
-    tables = _bulk_partner_table(spec, cutoff_cells)
+    partners = _bulk_partners(cutoff_cells)
 
     def evaluate(x):
-        energy, grad, hess = _bulk_energy_force_hessian(x.reshape(2, 3), spec, tables)
+        energy, grad, hess = _bulk_energy_force_hessian(x.reshape(2, 3), spec, partners)
         return energy, lambda: (grad.reshape(-1), hess)
 
     x, residual, _, n_iter, _ = _newton_descent(
-        np.zeros(6), evaluate, _step_cap(spec), tol, max_iter, "bulk",
+        np.zeros(6), evaluate, _step_cap(spec), tol, "bulk",
         lambda x, residual: x.reshape(2, 3),
     )
     return x.reshape(2, 3), residual, n_iter
@@ -278,10 +274,14 @@ def relax_bulk(spec: ChainSpec) -> BulkEquilibrium:
     residual is below 1e-8 (``_BULK_TOL``), in at most 200 iterations
     (``_MAX_ITER``).  The solve is repeated at 64 cells, and
     NonConvergedCutoffError is raised if the answer moves by more than
-    10 * 1e-8.
+    10 * 1e-8.  Below the relaxed-existence edge CoincidentAtomsError says
+    no equilibrium was found.
     """
-    deltas, residual, n_iter = _solve_bulk(spec, _BULK_TOL, _CUTOFF_CELLS, _MAX_ITER)
-    deltas2, _, _ = _solve_bulk(spec, _BULK_TOL, 2 * _CUTOFF_CELLS, _MAX_ITER)
+    try:
+        deltas, residual, n_iter = _solve_bulk(spec, _BULK_TOL, _CUTOFF_CELLS)
+        deltas2, _, _ = _solve_bulk(spec, _BULK_TOL, 2 * _CUTOFF_CELLS)
+    except CoincidentAtomsError as exc:
+        raise _no_equilibrium("bulk ", spec, exc) from exc
     drift = float(np.abs(deltas2 - deltas).max())
     if drift > 10.0 * _BULK_TOL:
         raise NonConvergedCutoffError(

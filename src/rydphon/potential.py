@@ -18,18 +18,28 @@ MIN_SEPARATION = 1e-9
 _PAIR_CHUNK = 4096  # pairs per step of hessian's pair loops, so temporaries stay small
 
 
-def _pair_geometry(positions: np.ndarray, m_hat: np.ndarray, pairs=None):
-    """Separation vectors, norms and m-projections of the pairs (iu, ju), by default all."""
-    iu, ju = np.triu_indices(positions.shape[0], k=1) if pairs is None else pairs
-    rvec = positions[iu] - positions[ju]
+def _separations(rvec: np.ndarray, m_hat: np.ndarray, name):
+    """(rnorm, s): norms and m-projections of the (P, 3) separations rvec.  The
+    first pair closer than MIN_SEPARATION raises CoincidentAtomsError, named by
+    name(k); every dipolar pair sum, finite or bulk, reads its pairs here."""
     rnorm = np.linalg.norm(rvec, axis=1)
     close = rnorm < MIN_SEPARATION
     if np.any(close):
         k = int(np.argmax(close))
-        raise CoincidentAtomsError(
-            f"atoms {iu[k]} and {ju[k]} coincide (separation {rnorm[k]:.3e})"
-        )
-    s = rvec @ m_hat
+        raise CoincidentAtomsError(f"{name(k)} coincide (separation {rnorm[k]:.3e})")
+    return rnorm, rvec @ m_hat
+
+
+def _pair_energies(rnorm, s):
+    """Each pair's dipolar energy over v_dd, (r^2 - 3 s^2) / r^5."""
+    return (rnorm**2 - 3.0 * s**2) / rnorm**5
+
+
+def _pair_geometry(positions: np.ndarray, m_hat: np.ndarray, pairs=None):
+    """Separation vectors, norms and m-projections of the pairs (iu, ju), by default all."""
+    iu, ju = np.triu_indices(positions.shape[0], k=1) if pairs is None else pairs
+    rvec = positions[iu] - positions[ju]
+    rnorm, s = _separations(rvec, m_hat, lambda k: f"atoms {iu[k]} and {ju[k]}")
     return iu, ju, rvec, rnorm, s
 
 
@@ -107,7 +117,7 @@ def _energy(positions, centers, spec: ChainSpec, geometry) -> float:
     if geometry is None:
         return trap
     _, _, _, rnorm, s = geometry
-    return trap + float(spec.v_dd * np.sum((rnorm**2 - 3.0 * s**2) / rnorm**5))
+    return trap + float(spec.v_dd * np.sum(_pair_energies(rnorm, s)))
 
 
 def _gradient(positions, centers, spec: ChainSpec, geometry) -> np.ndarray:

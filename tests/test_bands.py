@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rydphon import (
     ChainSpec,
+    CoincidentAtomsError,
     ImaginaryFrequencyError,
     Topology,
     band_diagnostics,
@@ -25,11 +26,15 @@ from rydphon.bands import (
     _best_permutations,
     _dynamical_matrices,
     _gauge_fix,
+    _real_space_blocks,
     _respan_degenerate,
     _suppress_touches,
 )
+from rydphon.equilibrium import _CUTOFF_CELLS
+from rydphon.geometry import base_offsets
+from rydphon.potential import _pair_hessians
 
-from conftest import paper_spec
+from conftest import BULK_KERNEL_CASES, bulk_kernel_inputs, paper_spec
 
 
 def test_q_grid_open_left_closed_right():
@@ -72,6 +77,53 @@ def test_dynamical_matrix_accepts_bulk_equilibrium():
     d_bare = _bloch([0.3], spec)[0]
     d_rel = _bloch([0.3], spec, eq.deltas)[0]
     assert np.abs(d_bare - d_rel).max() > 1e-3
+
+
+def _real_space_blocks_by_base_pair(spec, deltas):
+    """The _real_space_blocks that looped over base pairs (alpha, beta), each
+    over every cell with a boolean mask, before the shared partner list (its
+    coincidence check left out)."""
+    offs = base_offsets(spec) + deltas
+    cells = np.arange(-_CUTOFF_CELLS, _CUTOFF_CELLS + 1)
+    zero_idx = _CUTOFF_CELLS
+    blocks = np.zeros((len(cells), 6, 6))
+    m_hat = spec.m_hat
+    for a in range(2):
+        blocks[zero_idx, 3 * a:3 * a + 3, 3 * a:3 * a + 3] += np.diag(
+            spec.mass * spec.nu_array**2
+        )
+        for b in range(2):
+            rel = cells[:, None] * spec.a * np.array([0.0, 0.0, 1.0])[None, :] \
+                + (offs[b] - offs[a])[None, :]
+            keep = ~((cells == 0) & (a == b))
+            rvec = rel[keep]
+            rnorm = np.linalg.norm(rvec, axis=1)
+            s = rvec @ m_hat
+            hp = _pair_hessians(rvec, rnorm, s, m_hat, spec.v_dd)
+            blocks[keep, 3 * a:3 * a + 3, 3 * b:3 * b + 3] -= hp
+            blocks[zero_idx, 3 * a:3 * a + 3, 3 * a:3 * a + 3] += hp.sum(axis=0)
+    return cells, blocks
+
+
+@pytest.mark.parametrize("case", BULK_KERNEL_CASES)
+@pytest.mark.parametrize("phi", [0.0, 0.3])
+@pytest.mark.parametrize("topology", [Topology.TRIVIAL, Topology.TOPOLOGICAL])
+def test_real_space_blocks_match_the_base_pair_loop_bit_for_bit(topology, phi, case):
+    """Compared as bytes, so a -0.0 where the loop has +0.0 fails too."""
+    for spec, where, deltas in bulk_kernel_inputs(case, topology, phi):
+        cells, blocks = _real_space_blocks(spec, deltas)
+        old_cells, old_blocks = _real_space_blocks_by_base_pair(spec, deltas)
+        assert cells.tobytes() == old_cells.tobytes()
+        assert blocks.tobytes() == old_blocks.tobytes(), (spec.v_dd, where)
+
+
+def test_coincident_bulk_bases_are_named():
+    """With a = d and no transverse offset, base B of cell -1 sits on base A
+    of cell 0; the first coincident partner in the list is named."""
+    spec = paper_spec(a=2.0, delta=0.0)
+    with pytest.raises(CoincidentAtomsError,
+                       match=r"^base A of cell 0 and base B of cell -1 coincide \(separation"):
+        band_structure(spec, q_points=8)
 
 
 def test_hessian_positive_definite_at_relaxed_d2():

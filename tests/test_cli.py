@@ -143,17 +143,24 @@ def test_unstable_chain_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("command, outputs", [
     ("spectrum", ["--out"]),
     ("local", ["--out-g", "--out-j"]),
+    ("bands", ["--out"]),
+    ("coupling", ["--out"]),
 ])
 def test_relaxing_below_the_edge_names_the_missing_equilibrium(tmp_path, capsys, command,
                                                                outputs):
-    """d = 1.6 lies below the 7-cell chain's relaxed-existence edge (1.884485):
-    the descent drives two atoms together, and the error says why."""
+    """d = 1.6 lies below the relaxed-existence edges of the 7-cell chain
+    (1.884485) and of the bulk (1.883584): the descent drives two atoms
+    together, and the error says why.  bands and coupling relax the bulk."""
     cfg = write_config(tmp_path, d=1.6)
     paths = [a for k, flag in enumerate(outputs) for a in (flag, str(tmp_path / f"{k}.csv"))]
     assert main([command, cfg, "--relax", *paths]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: no symmetric equilibrium found at d=1.6: ")
-    assert "atoms 2 and 3 coincide" in err
+    if command in ("bands", "coupling"):
+        assert err.startswith("error: no symmetric bulk equilibrium found at d=1.6: ")
+        assert "bulk bases A of cell 0 and B of cell 0 coincide" in err
+    else:
+        assert err.startswith("error: no symmetric equilibrium found at d=1.6: ")
+        assert "atoms 2 and 3 coincide" in err
     assert "relaxed-existence edges" in err
 
 

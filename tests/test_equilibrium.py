@@ -27,10 +27,17 @@ from rydphon import (
 )
 from rydphon import equilibrium, potential
 from rydphon.bands import _freqs_from_lambda
-from rydphon.equilibrium import _certified_positive_definite, _newton_direction, _solve_bulk
-from rydphon.geometry import load_chain_spec
+from rydphon.equilibrium import (
+    _bulk_energy_force_hessian,
+    _bulk_partners,
+    _certified_positive_definite,
+    _newton_direction,
+    _solve_bulk,
+)
+from rydphon.geometry import base_offsets, load_chain_spec
+from rydphon.potential import _pair_gradients, _pair_hessians
 
-from conftest import paper_spec
+from conftest import BULK_KERNEL_CASES, bulk_kernel_inputs, paper_spec
 
 
 def test_no_dipoles_relaxes_to_trap_centers():
@@ -135,7 +142,7 @@ def test_bulk_matches_interior_of_long_finite_chain():
     spec = ChainSpec(n_cells=32, d=2.0)
     cfg = relax_finite(spec)
     disp = cfg.positions - trap_centers(spec).positions
-    deltas, _, _ = _solve_bulk(spec, 1e-12, 64, 200)
+    deltas, _, _ = _solve_bulk(spec, 1e-12, 64)
     middle_atom = spec.n_atoms // 2  # cell 16, base A
     assert np.abs(disp[middle_atom] - deltas[0]).max() < 1e-6
 
@@ -146,11 +153,68 @@ def test_cutoff_convergence_is_fifth_power():
     spec = paper_spec()
     deltas = {}
     for cutoff in (8, 16, 32):
-        deltas[cutoff], _, _ = _solve_bulk(spec, 1e-12, cutoff, 200)
+        deltas[cutoff], _, _ = _solve_bulk(spec, 1e-12, cutoff)
     drift_8_16 = np.abs(deltas[16] - deltas[8]).max()
     drift_16_32 = np.abs(deltas[32] - deltas[16]).max()
     assert drift_8_16 < 1e-6
     assert drift_16_32 < drift_8_16 / 4.0
+
+
+def _bulk_sums_with_masked_hessians(deltas, spec, cutoff_cells):
+    """The _bulk_energy_force_hessian that read a per-base table of partner
+    offsets and built pair Hessians for every row, then kept the
+    cross-sublattice ones (its coincidence check left out)."""
+    offs = base_offsets(spec)
+    cells = np.arange(-cutoff_cells, cutoff_cells + 1)
+    m_hat = spec.m_hat
+    nu2 = spec.nu_array**2
+    energy = 0.5 * spec.mass * float(np.sum(nu2 * deltas**2))
+    grad = spec.mass * nu2 * deltas
+    hess = np.zeros((6, 6))
+    hess[np.diag_indices(6)] += np.tile(spec.mass * nu2, 2)
+    for alpha in range(2):
+        rel, beta_of = [], []
+        for beta in range(2):
+            n = cells[(cells != 0) | (beta != alpha)]
+            rel.append(n[:, None] * spec.a * np.array([0.0, 0.0, 1.0]) + offs[beta] - offs[alpha])
+            beta_of.append(np.full(len(n), beta))
+        rel, beta_of = np.concatenate(rel), np.concatenate(beta_of)
+        rvec = deltas[alpha] - (rel + deltas[beta_of])
+        rnorm = np.linalg.norm(rvec, axis=1)
+        s = rvec @ m_hat
+        energy += 0.5 * spec.v_dd * float(np.sum((rnorm**2 - 3.0 * s**2) / rnorm**5))
+        grad[alpha] += _pair_gradients(rvec, rnorm, s, m_hat, spec.v_dd).sum(axis=0)
+        hps = _pair_hessians(rvec, rnorm, s, m_hat, spec.v_dd)
+        other = 1 - alpha
+        h_cross = hps[beta_of == other].sum(axis=0)
+        a0, b0 = 3 * alpha, 3 * other
+        hess[a0:a0 + 3, a0:a0 + 3] += h_cross
+        hess[a0:a0 + 3, b0:b0 + 3] -= h_cross
+    return energy, grad, hess
+
+
+@pytest.mark.parametrize("case", BULK_KERNEL_CASES)
+@pytest.mark.parametrize("phi", [0.0, 0.3])
+@pytest.mark.parametrize("topology", [Topology.TRIVIAL, Topology.TOPOLOGICAL])
+def test_bulk_sums_match_the_masked_hessian_form_bit_for_bit(topology, phi, case):
+    """Energy, gradient and Hessian as bytes, at both cutoffs relax_bulk solves at."""
+    for cutoff in (equilibrium._CUTOFF_CELLS, 2 * equilibrium._CUTOFF_CELLS):
+        partners = _bulk_partners(cutoff)
+        for spec, where, deltas in bulk_kernel_inputs(case, topology, phi):
+            new = _bulk_energy_force_hessian(deltas, spec, partners)
+            old = _bulk_sums_with_masked_hessians(deltas, spec, cutoff)
+            assert [np.float64(new[0]).tobytes(), new[1].tobytes(), new[2].tobytes()] == \
+                [np.float64(old[0]).tobytes(), old[1].tobytes(), old[2].tobytes()], \
+                (cutoff, spec.v_dd, where)
+
+
+def test_relax_bulk_below_the_edge_names_the_missing_equilibrium():
+    with pytest.raises(CoincidentAtomsError,
+                       match="no symmetric bulk equilibrium found at d=1.6: ") as info:
+        relax_bulk(paper_spec(d=1.6))
+    assert "bulk bases A of cell 0 and B of cell 0 coincide" in str(info.value)
+    assert "relaxed-existence edges" in str(info.value)
+    assert isinstance(info.value.__cause__, CoincidentAtomsError)
 
 
 def test_non_converged_cutoff_raised_for_tiny_tolerance(monkeypatch):

@@ -85,6 +85,9 @@ def _cases() -> dict:
     # m_y != 0: no pair Hessian or gradient entry is exactly zero by symmetry
     cases["spectrum-relax-topological_phi03"] = (["spectrum", "{cfg}", "--relax",
                                                   "--out", "spectrum.csv"], ["spectrum.csv"])
+    # m_y != 0 in the relaxed bulk: relax_bulk's pair sums and the relaxed Bloch matrices
+    cases["bands-relax-topological_phi03"] = (["bands", "{cfg}", *q, "--relax",
+                                               "--out", "bands.csv"], ["bands.csv"])
     return cases
 
 

@@ -27,6 +27,7 @@ _CONCAVITY_WINDOW = 0.5  # band_diagnostics takes concavity over |q| <= _CONCAVI
 _CONCAVITY_NODES = 64  # as the sign of a P2 moment by Gauss-Legendre at this many nodes,
 _CONCAVITY_FLAT_TOL = 1e3  # and 0 where that moment is within _CONCAVITY_FLAT_TOL * eps * max omega
 _MIN_RUN = 3  # track_bands undoes order flips that revert within this many grid points
+_CERTIFY_MARGIN = 1e-12  # track_bands certifies a step whose overlap rows each win by more
 # detect_edge_modes: how far outside every bulk envelope a mode must lie inside
 # an interior gap, or beyond the outer spectrum edge, and the end decay it needs there
 _INTERIOR_MARGIN = 1e-4
@@ -317,6 +318,27 @@ def _best_permutations(overlaps: np.ndarray) -> np.ndarray:
     return _PERMUTATIONS[best]
 
 
+def _step_permutations(overlaps: np.ndarray) -> np.ndarray:
+    """The ``_best_permutations`` of the (Nsteps, 6, 6) overlap stack, searched
+    only at the steps that the row maxima do not certify.
+
+    A step is certified when the argmax c of each overlap row is a permutation
+    and every row maximum beats its runner-up by more than 1e-12
+    (``_CERTIFY_MARGIN``).  No permutation scores more than the sum of the row
+    maxima, which c attains, and any other one leaves c in at least two rows,
+    so its exact score is lower by more than 2e-12, far above the rounding
+    (< 1e-14) of a 6-term sum of overlaps <= 1: c is the search's unique
+    maximum.  The margin is the step's tracking confidence.
+    """
+    top = np.sort(overlaps, axis=2)
+    steps = overlaps.argmax(axis=2)
+    certified = ((top[:, :, 5] - top[:, :, 4] > _CERTIFY_MARGIN).all(axis=1)
+                 & (np.sort(steps, axis=1) == np.arange(6)).all(axis=1))
+    if not certified.all():
+        steps[~certified] = _best_permutations(overlaps[~certified])
+    return steps
+
+
 def _suppress_touches(pos: np.ndarray, min_run: int) -> np.ndarray:
     """Undo order flips that revert within min_run grid points.
 
@@ -351,14 +373,17 @@ def track_bands(bands: BandStructure) -> np.ndarray:
     Each step k -> k+1 takes the permutation of sorted slots that maximises
     the summed overlap |<xi_k|xi_{k+1}>|; it depends only on the overlaps of
     that step, not on the tracking state.  Ties go to the first maximum in
-    itertools.permutations order.  Order flips that revert within 3 grid
-    points (``_MIN_RUN``) are then undone, as degenerate touches.
+    itertools.permutations order.  Where every row maximum of the overlaps
+    beats its runner-up by more than 1e-12 and the maxima form a permutation,
+    that permutation is the maximum, and the search over all 720 runs only at
+    the other steps (``_step_permutations``).  Order flips that revert within
+    3 grid points (``_MIN_RUN``) are then undone, as degenerate touches.
     """
-    steps = _best_permutations(np.abs(bands.xi[:-1].conj().transpose(0, 2, 1) @ bands.xi[1:]))
-    pos = np.empty((len(bands.q_grid), 6), dtype=int)
-    pos[0] = np.arange(6)
-    for k, perm in enumerate(steps, start=1):
-        pos[k] = perm[pos[k - 1]]
+    steps = _step_permutations(np.abs(bands.xi[:-1].conj().transpose(0, 2, 1) @ bands.xi[1:]))
+    # positions hold between the steps that move a band, so only those are composed
+    pos = np.tile(np.arange(6), (len(bands.q_grid), 1))
+    for k in np.flatnonzero((steps != np.arange(6)).any(axis=1)) + 1:
+        pos[k:] = steps[k - 1][pos[k - 1]]
     pos = _suppress_touches(pos, _MIN_RUN)
     # relabel so that label order matches the sorted order at q ~ 0
     k0 = int(np.argmin(np.abs(bands.q_grid)))

@@ -26,7 +26,7 @@ from . import __version__
 from .atom_phonon import coupled_bands, coupling_grid
 from .bands import DEFAULT_Q_POINTS, band_diagnostics, band_structure, finite_spectrum
 from .errors import ConfigError, RydphonError
-from .geometry import ChainSpec, Configuration, load_chain_spec, trap_centers
+from .geometry import ChainSpec, load_chain_spec, trap_centers
 from .local_phonons import bogoliubov_frequencies, local_phonon_model
 from .model_export import (
     CONVENTIONS,
@@ -37,7 +37,7 @@ from .model_export import (
     serialize,
     spec_digest,
 )
-from .potential import fd_gradient, fd_hessian, gradient, hessian
+from .potential import _energy, _gradient, _hessian, _pairs, hessian
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -179,25 +179,69 @@ def cmd_export(spec: ChainSpec, args) -> int:
     return EXIT_OK
 
 
-def _run_checks(spec: ChainSpec):
-    rng = np.random.default_rng(20240801)
-    centers = trap_centers(spec)
+_PROBES = 8           # check's random unit directions per perturbed configuration
+_PROBE_STEP = 1e-6    # their central-difference step, times max(1, ||x||_inf)
+_PROBE_TOL = 1e-7     # the bound on both probes' relative errors
+_PROBE_ROUNDING = 16  # ulps of the probe energies that the gradient probe allows
 
-    def perturbed():
-        return Configuration(
-            centers.positions + 0.03 * rng.standard_normal(centers.positions.shape)
-        )
 
-    checks = []
+def _derivative_probes(spec: ChainSpec, rng):
+    """Largest relative errors (gradient, Hessian) of the analytic derivatives
+    along 8 random unit directions v (``_PROBES``) at each of 3 configurations
+    x, the trap centers moved by 0.03 times standard normal draws.
 
-    grad_err = 0.0
-    hess_err = 0.0
+    The step is h = 1e-6 * max(1, ||x||_inf), so that x +- h v differs from
+    x at any spacing.  The errors, each passing at <= 1e-7 (``_PROBE_TOL``):
+    - gradient: |(E(x+hv) - E(x-hv))/2h - g.v| over sum_i |g_i v_i|
+      + 16 eps max|E(x +- hv)| / (1e-7 h).  So the probe passes within 1e-7
+      of the dot product's terms plus 16 ulps of the probe energies over h,
+      the energies' own rounding, which dominates from d ~ 1e20 on;
+    - Hessian: ||(g(x+hv) - g(x-hv))/2h - Hv||_inf over ||H||_inf ||v||_inf.
+    Each probed point's one pair geometry serves its energy and gradient, so
+    a configuration costs 2k energies, 2k + 1 gradients and one Hessian,
+    O(k N^2) in all.  A NaN error stays NaN, and the check fails.
+    """
+    centers = trap_centers(spec).positions
+    pairs = np.triu_indices(spec.n_atoms, 1)
+    hess = np.empty((centers.size,) * 2)
+    eps = np.finfo(float).eps
+    grad_errs, hess_errs = [], []
     for _ in range(3):
-        cfg = perturbed()
-        grad_err = max(grad_err, float(np.abs(gradient(cfg, spec) - fd_gradient(cfg, spec)).max()))
-        hess_err = max(hess_err, float(np.abs(hessian(cfg, spec) - fd_hessian(cfg, spec)).max()))
-    checks.append(("gradient-vs-central-differences", grad_err, 1e-6))
-    checks.append(("hessian-vs-central-differences", hess_err, 1e-5))
+        x = centers + 0.03 * rng.standard_normal(centers.shape)
+        geometry = _pairs(x, spec, pairs)
+        grad = _gradient(x, centers, spec, geometry)
+        _hessian(spec, geometry, hess)
+        hess_norm = np.abs(hess).sum(axis=1).max()
+        h = _PROBE_STEP * max(1.0, float(np.abs(x).max()))
+        directions = rng.standard_normal((_PROBES, x.size))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        for v in directions:
+            probed = []
+            for y in (x + h * v.reshape(-1, 3), x - h * v.reshape(-1, 3)):
+                at_y = _pairs(y, spec, pairs)
+                probed.append((_energy(y, centers, spec, at_y),
+                               _gradient(y, centers, spec, at_y)))
+            (e_plus, g_plus), (e_minus, g_minus) = probed
+            rounding = _PROBE_ROUNDING * eps * max(abs(e_plus), abs(e_minus)) / h
+            grad_errs.append(abs((e_plus - e_minus) / (2.0 * h) - grad @ v)
+                             / (np.abs(grad) @ np.abs(v) + rounding / _PROBE_TOL))
+            hess_errs.append(np.abs((g_plus - g_minus) / (2.0 * h) - hess @ v).max()
+                             / (hess_norm * np.abs(v).max()))
+    return float(np.max(grad_errs)), float(np.max(hess_errs))
+
+
+def _run_checks(spec: ChainSpec):
+    """(name, value, tol) of each self-check; a check passes when value <= tol.
+
+    The two derivative checks compare the analytic gradient and Hessian with
+    central differences along random directions (``_derivative_probes``
+    states the step and the relative tolerances).  The others compare the
+    Bloch eigenvectors' Gram matrix with 1, omega(q) with omega(-q), and the
+    Bogoliubov frequencies of a chain of at most 4 cells with its normal modes.
+    """
+    grad_err, hess_err = _derivative_probes(spec, np.random.default_rng(20240801))
+    checks = [("gradient-vs-central-differences", grad_err, _PROBE_TOL),
+              ("hessian-vs-central-differences", hess_err, _PROBE_TOL)]
 
     bands = band_structure(spec)
     gram = bands.xi.conj().transpose(0, 2, 1) @ bands.xi

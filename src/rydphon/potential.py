@@ -51,14 +51,19 @@ def _pairs(positions: np.ndarray, spec: ChainSpec, pairs=None):
 
 
 def _pair_gradients(rvec, rnorm, s, m_hat, v_dd):
-    """d(pair energy)/d(r) for each pair; force on the first atom is -gradient."""
+    """d(pair energy)/d(r) for each pair; force on the first atom is -gradient.
+
+    At a finite r beyond ~1e102, quad * rvec overflows where inv7 has long
+    underflowed to 0 (from r ~ 1e46 on), and inf * 0 is NaN; that term is
+    then 0, as the underflow already makes it for nearer pairs.  An infinite
+    r (from r^2 > 1.8e308) still gives NaN.
+    """
     inv5 = rnorm**-5
     inv7 = rnorm**-7
     quad = rnorm**2 - 3.0 * s**2
-    return v_dd * (
-        (2.0 * rvec - 6.0 * s[:, None] * m_hat) * inv5[:, None]
-        - 5.0 * quad[:, None] * rvec * inv7[:, None]
-    )
+    radial = 5.0 * quad[:, None] * rvec * inv7[:, None]
+    radial[np.isnan(radial) & np.isfinite(rnorm)[:, None]] = 0.0
+    return v_dd * ((2.0 * rvec - 6.0 * s[:, None] * m_hat) * inv5[:, None] - radial)
 
 
 # the upper triangle (a <= b) of a 3x3 block, row by row

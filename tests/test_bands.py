@@ -28,6 +28,7 @@ from rydphon.bands import (
     _gauge_fix,
     _real_space_blocks,
     _respan_degenerate,
+    _step_permutations,
     _suppress_touches,
 )
 from rydphon.equilibrium import _CUTOFF_CELLS
@@ -605,3 +606,95 @@ def test_gauge_fix_matches_per_column_loop_on_synthetic_vectors():
         for j in range(6):
             expected[k, :, j] = _gauge_fix_column(xi[k, :, j])
     assert _gauge_fix(xi).tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# certified tracking steps: the row maxima where they prove the search's answer
+
+def _overlaps(bands):
+    return np.abs(bands.xi[:-1].conj().transpose(0, 2, 1) @ bands.xi[1:])
+
+
+def _searched_steps(monkeypatch):
+    """Patch _best_permutations to record how many steps each call searches."""
+    searched = []
+
+    def counting(overlaps):
+        searched.append(len(overlaps))
+        return _best_permutations(overlaps)
+
+    monkeypatch.setattr(bands_module, "_best_permutations", counting)
+    return searched
+
+
+TRACKING_CASES = {
+    "d1.46": ({"d": 1.46}, False), "d1.5": ({"d": 1.5}, False), "d1.7": ({"d": 1.7}, False),
+    "d2.5": ({"d": 2.5}, False), "vdd0": ({"v_dd": 0.0}, False), "phi0.3": ({"phi": 0.3}, False),
+    "relaxed": ({"d": 2.5}, True),
+}
+
+
+@pytest.mark.parametrize("q_points", [32, 63, 256])
+@pytest.mark.parametrize("topology", [Topology.TRIVIAL, Topology.TOPOLOGICAL])
+@pytest.mark.parametrize("case", TRACKING_CASES)
+def test_certified_tracking_equals_the_full_search(case, topology, q_points, monkeypatch):
+    changes, relax = TRACKING_CASES[case]
+    bands = band_structure(paper_spec(topology=topology, **changes), q_points=q_points,
+                           relax=relax)
+    overlaps = _overlaps(bands)
+    assert np.array_equal(_step_permutations(overlaps), _best_permutations(overlaps))
+    tracked = track_bands(bands)
+    monkeypatch.setattr(bands_module, "_CERTIFY_MARGIN", np.inf)  # certify no step
+    assert np.array_equal(tracked, track_bands(bands))
+
+
+def _stack_with_margins(rng, margins, n_steps=40):
+    """Overlap stack in [0, 0.6]: at each step the row maxima sit on a random
+    permutation, each above its row's runner-up by a margin drawn from margins."""
+    stack = rng.uniform(0.0, 0.5, (n_steps, 6, 6))
+    for step in stack:
+        perm = rng.permutation(6)
+        for r, c in enumerate(perm):
+            others = np.delete(step[r], c)
+            step[r, c] = others.max() + rng.choice(margins)
+    return stack
+
+
+def _ulp_step():
+    """Rows 0 and 1 prefer each other's slot by one ulp; the sum rounds that
+    away, so the search returns the identity, first in itertools order."""
+    step = np.full((6, 6), 0.01)
+    np.fill_diagonal(step, 0.9)
+    up = np.nextafter(0.3, 1.0)
+    step[0, :2] = [0.3, up]
+    step[1, :2] = [up, 0.3]
+    return step
+
+
+@pytest.mark.parametrize("kind", ["above", "below", "mixed", "collide", "tie", "ulp"])
+def test_certified_steps_equal_the_search_near_the_margin(kind, monkeypatch):
+    rng = np.random.default_rng(31)
+    just_above, just_below = 1.01e-12, 0.99e-12  # around the certification margin
+    if kind == "above":
+        stack = _stack_with_margins(rng, [just_above])
+    elif kind == "below":
+        stack = _stack_with_margins(rng, [just_below])
+    elif kind == "mixed":
+        stack = _stack_with_margins(rng, [just_above, just_above, just_below, 0.1])
+    elif kind == "collide":  # two rows have their maximum in the same slot
+        stack = _stack_with_margins(rng, [just_above, 0.1])
+        stack[::2, 1] = stack[::2, 0]
+    elif kind == "tie":  # a row's maximum is attained twice
+        stack = _stack_with_margins(rng, [just_above, 0.1])
+        top = stack[::3, 2].argmax(axis=1)
+        stack[::3, 2, (top + 1) % 6] = stack[::3, 2].max(axis=1)
+    else:
+        stack = np.concatenate([_stack_with_margins(rng, [0.1], 5), _ulp_step()[None]])
+        assert not np.array_equal(_best_permutations(stack)[-1], stack[-1].argmax(axis=1))
+    expected = np.array([_best_permutation_by_loop(step) for step in stack])
+    searched = _searched_steps(monkeypatch)
+    assert np.array_equal(_step_permutations(stack), expected)
+    if kind == "above":
+        assert searched == []
+    else:
+        assert sum(searched) > 0

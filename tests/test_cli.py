@@ -266,6 +266,78 @@ def test_check_passes_every_check_on_every_config(config, capsys):
     assert lines[-1] == "all 5 checks passed"
 
 
+def _check_lines(capsys):
+    return {line.split(":")[0].split()[1]: line.split()[0]
+            for line in capsys.readouterr().out.splitlines() if ":" in line}
+
+
+def _gradient_off_by(rel):
+    """cli's gradient kernel with its entry 0 off by rel, relative."""
+    real = cli._gradient
+
+    def wrong(*args):
+        grad = real(*args)
+        grad[0] *= 1.0 + rel
+        return grad
+    return wrong
+
+
+def _hessian_off_by(rel):
+    """cli's Hessian kernel with its largest off-diagonal entry pair off by rel, relative."""
+    real = cli._hessian
+
+    def wrong(*args):
+        hess = real(*args)
+        off = np.abs(hess)
+        np.fill_diagonal(off, 0.0)
+        i, j = np.unravel_index(np.argmax(off), off.shape)
+        hess[i, j] *= 1.0 + rel
+        hess[j, i] = hess[i, j]
+        return hess
+    return wrong
+
+
+@pytest.mark.parametrize("n_cells", [7, 100])
+def test_check_fails_a_gradient_off_by_1e_3(n_cells, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_gradient", _gradient_off_by(1e-3))
+    assert main(["check", write_config(tmp_path, n_cells=n_cells)]) == 3
+    assert _check_lines(capsys)["gradient-vs-central-differences"] == "FAIL"
+
+
+@pytest.mark.parametrize("n_cells", [7, 100])
+def test_check_fails_a_hessian_pair_off_by_1e_3(n_cells, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_hessian", _hessian_off_by(1e-3))
+    assert main(["check", write_config(tmp_path, n_cells=n_cells)]) == 3
+    lines = _check_lines(capsys)
+    assert lines["hessian-vs-central-differences"] == "FAIL"
+    assert lines["gradient-vs-central-differences"] == "PASS"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the pair formula's far pairs under/overflow
+@pytest.mark.parametrize("log10_d", [0.3, 3, 7.5, 10, 50, 105, 149])
+def test_check_passes_at_any_stable_spacing(log10_d, tmp_path, capsys):
+    assert main(["check", write_config(tmp_path, n_cells=4, d=10.0**log10_d)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "all 5 checks passed"
+
+
+@pytest.mark.parametrize("n_cells", [1, 7, 40])
+def test_check_probes_cost_2k_energies_and_2k_plus_1_gradients(n_cells, monkeypatch):
+    calls = {"energy": 0, "gradient": 0}
+
+    def counted(name, kernel):
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "_energy", counted("energy", cli._energy))
+    monkeypatch.setattr(cli, "_gradient", counted("gradient", cli._gradient))
+    cli._derivative_probes(paper_spec(n_cells=n_cells), np.random.default_rng(0))
+    k = cli._PROBES
+    assert k == 8
+    assert calls == {"energy": 3 * 2 * k, "gradient": 3 * (2 * k + 1)}  # 3 configurations
+
+
 def test_export_determinism(tmp_path):
     cfg = write_config(tmp_path)
     first = tmp_path / "m1.json"

@@ -197,7 +197,7 @@ def _bulk_sums_with_masked_hessians(deltas, spec, cutoff_cells):
 @pytest.mark.parametrize("phi", [0.0, 0.3])
 @pytest.mark.parametrize("topology", [Topology.TRIVIAL, Topology.TOPOLOGICAL])
 def test_bulk_sums_match_the_masked_hessian_form_bit_for_bit(topology, phi, case):
-    """Energy, gradient and Hessian as bytes, at both cutoffs relax_bulk solves at."""
+    """Energy, gradient and Hessian as bytes, at both cutoffs relax_bulk sums over."""
     for cutoff in (equilibrium._CUTOFF_CELLS, 2 * equilibrium._CUTOFF_CELLS):
         partners = _bulk_partners(cutoff)
         for spec, where, deltas in bulk_kernel_inputs(case, topology, phi):
@@ -227,6 +227,25 @@ def test_non_converged_cutoff_raised_for_tiny_tolerance(monkeypatch):
 def test_cutoff_check_passes_at_defaults():
     eq = relax_bulk(paper_spec())
     assert eq.residual_inf_norm < 1e-8
+
+
+# d just above the bulk fold of each nu case and phi, in both topologies
+CUTOFF_FOLDS = {("isotropic", 0.0): 1.8836, ("isotropic", 0.3): 1.8686,
+                ("anisotropic-nu", 0.0): 2.2074, ("anisotropic-nu", 0.3): 2.1809}
+
+
+@pytest.mark.parametrize("case, phi", CUTOFF_FOLDS)
+@pytest.mark.parametrize("topology", [Topology.TRIVIAL, Topology.TOPOLOGICAL])
+def test_cutoff_drift_estimate_matches_the_re_solve(topology, case, phi):
+    """The first-order drift relax_bulk checks, against the 64-cell re-solve
+    it replaced: within 2e-9, 2 % of the 10 * _BULK_TOL bound, from the fold on."""
+    fold = CUTOFF_FOLDS[case, phi]
+    for d in (fold, fold + 1e-4, fold + 1e-3, fold + 1e-2, 2.5, 3.0):
+        spec = paper_spec(d=d, nu=BULK_KERNEL_CASES[case][1], topology=topology, phi=phi)
+        deltas = relax_bulk(spec).deltas
+        resolved, _, _ = _solve_bulk(spec, equilibrium._BULK_TOL, 2 * equilibrium._CUTOFF_CELLS)
+        drift = float(np.abs(resolved - deltas).max())
+        assert abs(equilibrium._cutoff_drift(deltas, spec) - drift) <= 2e-9, (d, drift)
 
 
 @pytest.mark.parametrize("topology", [Topology.TRIVIAL, Topology.TOPOLOGICAL])

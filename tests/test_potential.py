@@ -272,6 +272,33 @@ def test_hessian_rejects_non_finite_entries():
         hessian(trap_centers(spec), spec)
 
 
+def _pair_gradients_unguarded(rvec, rnorm, s, m_hat, v_dd):
+    """_pair_gradients before a far pair's inf * 0 was set to 0."""
+    inv5 = rnorm**-5
+    inv7 = rnorm**-7
+    quad = rnorm**2 - 3.0 * s**2
+    return v_dd * ((2.0 * rvec - 6.0 * s[:, None] * m_hat) * inv5[:, None]
+                   - 5.0 * quad[:, None] * rvec * inv7[:, None])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("theta", [0.0, magic_angle()], ids=["0", "magic"])
+def test_far_pair_gradients_are_finite_and_the_rest_keep_their_bits(theta):
+    """Separations from 1e-2 to 1e152: where the unguarded formula overflowed
+    to nan the gradient is now finite, and elsewhere it is the same bytes."""
+    rng = np.random.default_rng(5)
+    m_hat = paper_spec(theta=theta).m_hat
+    rvec = rng.standard_normal((6000, 3)) * 10.0 ** rng.uniform(-2.0, 152.0, (6000, 1))
+    rnorm, s = np.linalg.norm(rvec, axis=1), rvec @ m_hat
+    new = _pair_gradients(rvec, rnorm, s, m_hat, 1.0 / 3.0)
+    old = _pair_gradients_unguarded(rvec, rnorm, s, m_hat, 1.0 / 3.0)
+    kept = np.isfinite(old).all(axis=1)
+    assert not kept.all() and np.isfinite(new).all()
+    assert new[kept].tobytes() == old[kept].tobytes()
+    spec = paper_spec(n_cells=4, d=1e149, theta=theta)
+    assert np.isfinite(gradient(perturbed(spec, rng), spec)).all()
+
+
 def test_hessian_matches_central_differences(rng):
     spec = paper_spec(n_cells=4)
     cfg = perturbed(spec, rng)

@@ -345,13 +345,18 @@ def _suppress_touches(pos: np.ndarray, min_run: int) -> np.ndarray:
     Degenerate touch points (e.g. the exact q=0 degeneracies) otherwise
     register as spurious double crossings.  Pair by pair, in triu order, each
     run of one order sign shorter than min_run that touches neither grid end
-    is swapped back, until a pass over the pairs changes nothing.
+    is swapped back, until a pass over the pairs changes nothing.  A short
+    interior run lies between two sign changes of one pair less than min_run
+    apart; where no pair has one, the first pass would change nothing.
     """
     pos = pos.copy()
-    changed = True
+    first, second = np.triu_indices(6, k=1)
+    sign = pos[:, first] > pos[:, second]
+    pair, at = np.nonzero((sign[1:] != sign[:-1]).T)  # each pair's sign changes, in order
+    changed = bool(np.any((np.diff(at) < min_run) & (np.diff(pair) == 0)))
     while changed:
         changed = False
-        for a, b in zip(*np.triu_indices(6, k=1)):
+        for a, b in zip(first, second):
             sign = pos[:, a] > pos[:, b]
             lengths = np.diff([0, *np.flatnonzero(sign[1:] != sign[:-1]) + 1, len(sign)])
             short = lengths < min_run

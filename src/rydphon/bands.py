@@ -35,6 +35,7 @@ _EXTERIOR_MARGIN = 1e-4
 _END_DECAY_THRESHOLD = 1.8
 
 _Z_COMPONENTS = (2, 5)  # (A, z) and (B, z) slots in the 6-component basis
+_LOWER = np.tril_indices(6)  # the Bloch matrix entries that eigh and eigvalsh read
 # the nonnegative half of the nodes and their weights; omega is even in q
 _NODES, _WEIGHTS = (half[_CONCAVITY_NODES // 2:]
                     for half in np.polynomial.legendre.leggauss(_CONCAVITY_NODES))
@@ -75,9 +76,38 @@ def _real_space_blocks(spec: ChainSpec, deltas: np.ndarray):
 
 
 def _dynamical_matrices(qs, spec: ChainSpec, deltas) -> np.ndarray:
+    """(Nq, 6, 6) Bloch matrices D(q) = sum_n exp(i q n a) blocks[n].
+
+    Only the lower triangle (``np.tril_indices(6)``) is summed, and only its
+    entries that are non-zero in some cell; the others stay +0.  The phases
+    are cos and sin of arg = q n a.  Real and imaginary parts are summed one
+    term at a time, in cell order n = -C, ..., C, starting from +0.  The
+    strict upper triangle is the exact conjugate of the strict lower one.
+
+    These are the bytes that exp(1j * arg) and a complex sum over the cells
+    in the same order give, on which the README's bit-for-bit promise rests:
+    cos(arg) and sin(arg) are that exponential's parts, a zero of either sign
+    cannot change a sum that starts from +0, and ``eigh`` and ``eigvalsh``
+    read the lower triangle only.
+    """
     cells, blocks = _real_space_blocks(spec, deltas)
-    phases = np.exp(1j * np.asarray(qs)[:, None] * cells[None, :] * spec.a)
-    dyn = np.einsum("qn,nij->qij", phases, blocks)
+    qs = np.asarray(qs, dtype=float)
+    nq = len(qs)
+    rows, cols = _LOWER
+    terms = blocks[:, rows, cols]                      # (cells, 21)
+    used = (terms != 0.0).any(axis=0)
+    rows, cols, terms = rows[used], cols[used], terms[:, used]
+    arg = cells[:, None] * qs[None, :] * spec.a        # (cells, Nq): q n a, row per cell
+    phases = np.concatenate([np.cos(arg), np.sin(arg)], axis=1)   # (cells, 2 Nq)
+    sums = np.zeros((len(rows), 2 * nq))               # (entries, re | im)
+    for term, phase in zip(terms, phases):
+        sums += term[:, None] * phase
+    dyn = np.zeros((nq, 6, 6), dtype=complex)
+    dyn.real[:, rows, cols] = sums[:, :nq].T
+    dyn.imag[:, rows, cols] = sums[:, nq:].T
+    strict = rows != cols
+    dyn.real[:, cols[strict], rows[strict]] = sums[strict, :nq].T
+    dyn.imag[:, cols[strict], rows[strict]] = -sums[strict, nq:].T
     _require_finite(dyn, "Bloch matrix")
     return dyn
 

@@ -56,7 +56,7 @@ def _write_table(path, spec: ChainSpec, columns: dict, comments=()):
     hash, conventions and ``comments`` come first, then the names.  A float
     cell is its shortest round-trip ``repr``, from ``_float_tokens``; any
     other cell (int, bool, text) is ``str`` of the array's ``.tolist()``
-    entry, formatted once per distinct value of a chunk by ``_str_tokens``.
+    entry, from ``_str_tokens``, chunk by chunk.
     """
     cols = [np.asarray(c) for c in columns.values()]
     head = [f"rydphon {__version__}", f"config_hash={spec_digest(spec)}", _CONVENTIONS_COMMENT,
@@ -69,11 +69,23 @@ def _write_table(path, spec: ChainSpec, columns: dict, comments=()):
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _str_tokens(values: np.ndarray) -> np.ndarray:
-    """``str`` of every entry of ``values.tolist()``, as an object array; each
-    distinct value is formatted once."""
-    distinct, where = np.unique(values, return_inverse=True)
-    return np.array([str(v) for v in distinct.tolist()], dtype=object)[where]
+def _str_tokens(values: np.ndarray) -> list:
+    """``str`` of every entry of ``values.tolist()``, without a sort.
+
+    A text column is its own list, as ``str`` of a ``str`` is the string.
+    An integer column whose range [min, max] is no wider than it is long
+    (every key column the subcommands write: bands, modes, atoms,
+    separations, flags) indexes a table of ``str`` over that range, so each
+    value is formatted once.  Any other column formats entry by entry.
+    """
+    if values.dtype.kind == "U":
+        return values.tolist()
+    if values.dtype.kind in "iu" and values.size:
+        low, high = values.min(), values.max()
+        if int(high) - int(low) < values.size:
+            table = np.array([str(v) for v in range(int(low), int(high) + 1)], dtype=object)
+            return table[values - low].tolist()
+    return [str(v) for v in values.tolist()]
 
 
 def _q_band_columns(q_grid: np.ndarray) -> dict:

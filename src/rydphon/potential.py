@@ -31,8 +31,12 @@ def _separations(rvec: np.ndarray, m_hat: np.ndarray, name):
 
 
 def _pair_energies(rnorm, s):
-    """Each pair's dipolar energy over v_dd, (r^2 - 3 s^2) / r^5."""
-    return (rnorm**2 - 3.0 * s**2) / rnorm**5
+    """Each pair's dipolar energy over v_dd, (r^2 - 3 s^2) / r^5.
+
+    From r ~ 1e62 on, r^5 overflows to inf and the energy is +-0, as it
+    should be; numpy is told not to warn about that overflow."""
+    with np.errstate(over="ignore"):
+        return (rnorm**2 - 3.0 * s**2) / rnorm**5
 
 
 def _pair_geometry(positions: np.ndarray, m_hat: np.ndarray, pairs=None):
@@ -56,12 +60,14 @@ def _pair_gradients(rvec, rnorm, s, m_hat, v_dd):
     At a finite r beyond ~1e102, quad * rvec overflows where inv7 has long
     underflowed to 0 (from r ~ 1e46 on), and inf * 0 is NaN; that term is
     then 0, as the underflow already makes it for nearer pairs.  An infinite
-    r (from r^2 > 1.8e308) still gives NaN.
+    r (from r^2 > 1.8e308) still gives NaN.  numpy is told not to warn
+    about the overflow and the NaN that this handles.
     """
     inv5 = rnorm**-5
     inv7 = rnorm**-7
     quad = rnorm**2 - 3.0 * s**2
-    radial = 5.0 * quad[:, None] * rvec * inv7[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        radial = 5.0 * quad[:, None] * rvec * inv7[:, None]
     radial[np.isnan(radial) & np.isfinite(rnorm)[:, None]] = 0.0
     return v_dd * ((2.0 * rvec - 6.0 * s[:, None] * m_hat) * inv5[:, None] - radial)
 

@@ -245,3 +245,29 @@ def test_non_float_columns_match_str_of_tolist(tmp_path):
     out = tmp_path / "t.csv"
     cli._write_table(out, spec, columns)
     assert out.read_text().splitlines() == _tolist_text(spec, columns).splitlines()
+
+
+_CHUNK = cli._CHUNK_ROWS
+_TOKEN_COLUMNS = {
+    "text": np.array(["x", "y", "z", "-", "1-2", ""])[np.arange(50) % 6],
+    "one-text": np.array(["z"]),
+    "empty-text": np.array([], dtype="<U1"),
+    "empty-int": np.array([], dtype=np.int64),
+    "negative": np.arange(50) % 7 - 9,
+    "single-valued": np.full(30, -4),
+    "one": np.array([17]),
+    "range-one-short-of-a-chunk": np.arange(-_CHUNK + 1, 1)[::-1],   # max - min = size - 1
+    "range-a-chunk-wide": np.r_[np.arange(_CHUNK - 1), _CHUNK],       # max - min = size
+    "int64-extremes": np.array([np.iinfo(np.int64).min, 0, np.iinfo(np.int64).max]),
+    "uint8": (np.arange(40) % 5).astype(np.uint8),
+    "uint64-top": np.array([np.iinfo(np.uint64).max, np.iinfo(np.uint64).max - 1], np.uint64),
+    "bool": np.arange(10) % 3 == 0,
+}
+
+
+@pytest.mark.parametrize("name", _TOKEN_COLUMNS)
+def test_str_tokens_equal_str_of_tolist(name):
+    """Text columns, integers through the table of their range and past it,
+    and the entry-by-entry path (bools, wide and unsigned extremes)."""
+    values = _TOKEN_COLUMNS[name]
+    assert cli._str_tokens(values) == [str(v) for v in values.tolist()]

@@ -74,9 +74,10 @@ def _str_tokens(values: np.ndarray) -> list:
 
     A text column is its own list, as ``str`` of a ``str`` is the string.
     An integer column whose range [min, max] is no wider than it is long
-    (every key column the subcommands write: bands, modes, atoms,
-    separations, flags) indexes a table of ``str`` over that range, so each
-    value is formatted once.  Any other column formats entry by entry.
+    (every integer column the subcommands write: bands, modes, atoms,
+    separations, flags, concavities) indexes a table of ``str`` over that
+    range, so each value is formatted once.  Any other column (bools, wide
+    ranges) formats entry by entry.
     """
     if values.dtype.kind == "U":
         return values.tolist()

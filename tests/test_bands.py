@@ -128,8 +128,8 @@ def _dynamical_matrices_by_einsum(qs, spec, deltas):
     return np.einsum("qn,nij->qij", phases, blocks)
 
 
-_KERNEL_ANGLES = {"magic": {}, "theta0": {"theta": 0.0}, "theta-pi/2": {"theta": np.pi / 2}}
-_KERNEL_CASES = {**_KERNEL_ANGLES, "vdd0": {"v_dd": 0.0}, "anisotropic-nu": {"nu": (1.0, 1.3, 0.7)}}
+_KERNEL_CASES = {"magic": {}, "theta0": {"theta": 0.0}, "theta-pi/2": {"theta": np.pi / 2},
+                 "vdd0": {"v_dd": 0.0}, "anisotropic-nu": {"nu": (1.0, 1.3, 0.7)}}
 
 
 @pytest.mark.parametrize("case", _KERNEL_CASES)

@@ -267,7 +267,8 @@ _TOKEN_COLUMNS = {
 
 @pytest.mark.parametrize("name", _TOKEN_COLUMNS)
 def test_str_tokens_equal_str_of_tolist(name):
-    """Text columns, integers through the table of their range and past it,
-    and the entry-by-entry path (bools, wide and unsigned extremes)."""
+    """Text columns; integers through the table of their range, unsigned
+    ones too; and the entry-by-entry path (bools, ranges wider than the
+    column)."""
     values = _TOKEN_COLUMNS[name]
     assert cli._str_tokens(values) == [str(v) for v in values.tolist()]

@@ -80,15 +80,20 @@ def _dynamical_matrices(qs, spec: ChainSpec, deltas) -> np.ndarray:
 
     Only the lower triangle (``np.tril_indices(6)``) is summed, and only its
     entries that are non-zero in some cell; the others stay +0.  The phases
-    are cos and sin of arg = q n a.  Real and imaginary parts are summed one
-    term at a time, in cell order n = -C, ..., C, starting from +0.  The
-    strict upper triangle is the exact conjugate of the strict lower one.
+    are cos and sin of arg = q n a, computed for the cells n >= 0 only; the
+    rows of cells -n are the mirrors cos(arg) and -sin(arg).  Real and
+    imaginary parts are summed one term at a time, in cell order
+    n = -C, ..., C, starting from +0.  The strict upper triangle is the exact
+    conjugate of the strict lower one.
 
     These are the bytes that exp(1j * arg) and a complex sum over the cells
     in the same order give, on which the README's bit-for-bit promise rests:
-    cos(arg) and sin(arg) are that exponential's parts, a zero of either sign
-    cannot change a sum that starts from +0, and ``eigh`` and ``eigvalsh``
-    read the lower triangle only.
+    cos(arg) and sin(arg) are that exponential's parts; the arg of cell -n
+    is exactly minus that of cell n, since negating a factor only flips the
+    sign of a rounded product, and cos is even and sin odd bit for bit (the
+    einsum test pins both, q = +-0 and +-pi/a included); a zero of either
+    sign cannot change a sum that starts from +0; and ``eigh`` and
+    ``eigvalsh`` read the lower triangle only.
     """
     cells, blocks = _real_space_blocks(spec, deltas)
     qs = np.asarray(qs, dtype=float)
@@ -97,8 +102,13 @@ def _dynamical_matrices(qs, spec: ChainSpec, deltas) -> np.ndarray:
     terms = blocks[:, rows, cols]                      # (cells, 21)
     used = (terms != 0.0).any(axis=0)
     rows, cols, terms = rows[used], cols[used], terms[:, used]
-    arg = cells[:, None] * qs[None, :] * spec.a        # (cells, Nq): q n a, row per cell
-    phases = np.concatenate([np.cos(arg), np.sin(arg)], axis=1)   # (cells, 2 Nq)
+    c = _CUTOFF_CELLS                                  # cells[c] is cell 0
+    arg = cells[c:, None] * qs[None, :] * spec.a       # (C + 1, Nq): q n a for n >= 0
+    phases = np.empty((len(cells), 2 * nq))            # (cells, cos | sin), row per cell
+    np.cos(arg, out=phases[c:, :nq])
+    np.sin(arg, out=phases[c:, nq:])
+    phases[:c, :nq] = phases[:c:-1, :nq]               # cells -C..-1 mirror cells C..1
+    np.negative(phases[:c:-1, nq:], out=phases[:c, nq:])
     sums = np.zeros((len(rows), 2 * nq))               # (entries, re | im)
     for term, phase in zip(terms, phases):
         sums += term[:, None] * phase
@@ -126,9 +136,24 @@ def _gauge_fix(xi: np.ndarray) -> np.ndarray:
     return np.multiply(xi, factor, out=xi, where=mag != 0.0)
 
 
+def _remainder(c: np.ndarray, cols: list) -> np.ndarray:
+    """``c`` less its components along the orthonormal ``cols``, one at a time."""
+    c = c.copy()
+    for prev in cols:
+        c -= (prev.conj() @ c) * prev
+    return c
+
+
 def _respan_degenerate(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Re-span each degenerate group by projecting the fixed reference basis
-    (Gram-Schmidt), so the columns do not depend on the eigensolver's choice."""
+    (Gram-Schmidt), so the columns do not depend on the eigensolver's choice.
+
+    A remainder of norm in (1e-8, 1e-2) is projected onto the group's span
+    and orthogonalized again before it is normalized: dividing by a small
+    norm magnifies the rounding that leaked out of the span, which left the
+    columns of nearly degenerate chains (d ~ 100-160) off orthonormal by up
+    to 3e-8.  Remainders outside that range take one pass, as before.
+    """
     out = vec.copy()
     n = len(lam)
     edges = [*(np.flatnonzero(~(np.diff(lam) <= DEGENERACY_TOL)) + 1), n]
@@ -138,10 +163,11 @@ def _respan_degenerate(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
             proj = sub @ (sub.conj().T @ np.eye(n, dtype=complex))
             cols = []
             for r in range(n):
-                c = proj[:, r].copy()
-                for prev in cols:
-                    c -= (prev.conj() @ c) * prev
+                c = _remainder(proj[:, r], cols)
                 norm = np.linalg.norm(c)
+                if 1e-8 < norm < 1e-2:
+                    c = _remainder(sub @ (sub.conj().T @ c), cols)
+                    norm = np.linalg.norm(c)
                 if norm > 1e-8:
                     cols.append(c / norm)
                 if len(cols) == stop - start:

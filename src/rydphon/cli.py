@@ -11,7 +11,7 @@ hands it named columns of equal length, the header is their names, and
 the rows are formatted and written a fixed number at a time, to the file
 or to stdout, so no output's whole text is held in memory.  Float cells
 are spelled by the one formatter that also writes the model file,
-``model_export._float_tokens``.
+``model_export._float_text``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .geometry import ChainSpec, load_chain_spec, trap_centers
 from .local_phonons import bogoliubov_frequencies, local_phonon_model
 from .model_export import (
     CONVENTIONS,
-    _float_tokens,
+    _float_text,
     _open_output,
     _output_mode,
     assemble,
@@ -54,7 +54,8 @@ def _write_table(path, spec: ChainSpec, columns: dict, comments=()):
     ``columns`` maps each column name, in order, to a 1-D array or list;
     all have the same length.  Comment lines with the tool version, configuration
     hash, conventions and ``comments`` come first, then the names.  A float
-    cell is its shortest round-trip ``repr``, from ``_float_tokens``; any
+    cell is its shortest round-trip ``repr``: the chunk's ``_float_text``
+    with comma separators, split at the commas.  Any
     other cell (int, bool, text) is ``str`` of the array's ``.tolist()``
     entry, from ``_str_tokens``, chunk by chunk.
     """
@@ -65,7 +66,8 @@ def _write_table(path, spec: ChainSpec, columns: dict, comments=()):
         fh.write("".join(f"# {line}\n" for line in head) + ",".join(columns) + "\n")
         for start in range(0, len(cols[0]), _CHUNK_ROWS):
             chunks = [c[start:start + _CHUNK_ROWS] for c in cols]
-            cells = [_float_tokens(c) if c.dtype.kind == "f" else _str_tokens(c) for c in chunks]
+            cells = [_float_text(c, ",").split(",") if c.dtype.kind == "f" else _str_tokens(c)
+                     for c in chunks]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

@@ -6,9 +6,10 @@ full provenance (chain parameters, tool version, numerical conventions).
 Every float is written with shortest round-trip precision so repeated
 runs produce byte-identical files.
 
-One formatter, ``_float_tokens``, spells every float of every output, the
+One formatter, ``_float_text``, spells every float of every output, the
 model file's and the CSV tables': ``repr`` of each value, produced in bulk
-by orjson and patched where orjson spells a number differently.
+by orjson and patched only where a row's values show that orjson spells
+one of them differently.
 ``serialize`` writes the text that ``json.dump(..., sort_keys=True,
 indent=1, allow_nan=False)`` would, one array row at a time.
 """
@@ -121,29 +122,39 @@ _ONE_DIGIT_NEGATIVE_EXPONENT = re.compile(r"e-(?=\d(?!\d))")
 _POSITIVE_EXPONENT = re.compile(r"e(?=\d)")
 
 
-def _float_tokens(values) -> list[str]:
-    """``repr`` of every value of ``values`` as a float, in C order.
+def _float_text(values, sep: str) -> str:
+    """``sep.join(map(repr, values))`` over every value of ``values`` as a
+    float, in C order, from one ``orjson.dumps``.
 
-    orjson writes the same shortest round-trip digits as ``repr``, but
-    spells exponents ``e-7`` and ``e16`` where ``repr`` writes ``e-07`` and
-    ``e+16``; both are rewritten in the text with fixed replacement strings
-    (the patterns match only the ``e-`` or ``e`` before the digits, so no
-    template is expanded per match).  It writes 1e-5 <= |x| < 1e-4
-    positionally and non-finite values as ``null``; those take ``repr``
-    one by one.
+    orjson writes the same shortest round-trip digits as ``repr``, but spells
+    exponents ``e-7`` and ``e16`` where ``repr`` writes ``e-07`` and
+    ``e+16``.  Each is rewritten in the text with a fixed replacement string,
+    and only when the values, not the text, say that it can occur:
+    ``e-0`` when some |x| lies in [1e-10, 1e-5), as only those values print
+    an exponent from -9 to -6; ``e+`` when some |x| >= 1e15, as orjson
+    writes every smaller value positionally and an exponent only from 1e16
+    on.  Both bounds take in one decade more than they need.  The commas
+    become ``sep`` through one ``str.replace``.  orjson writes
+    1e-5 <= |x| < 1e-4 positionally and non-finite values as ``null``; a
+    row holding either is split, those tokens take ``repr`` one by one, and
+    the row is joined again.
     """
     import orjson  # imported here so that importing the CLI does not load it
 
     flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    if not flat.size:
-        return []
-    text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    text = _POSITIVE_EXPONENT.sub("e+", _ONE_DIGIT_NEGATIVE_EXPONENT.sub("e-0", text))
-    tokens = text[1:-1].split(",")
+    text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1]
     magnitude = np.abs(flat)
-    for i in np.flatnonzero(~np.isfinite(flat) | ((magnitude >= 1e-5) & (magnitude < 1e-4))):
+    if ((magnitude >= 1e-10) & (magnitude < 1e-5)).any():
+        text = _ONE_DIGIT_NEGATIVE_EXPONENT.sub("e-0", text)
+    if (magnitude >= 1e15).any():
+        text = _POSITIVE_EXPONENT.sub("e+", text)
+    respell = np.flatnonzero(~np.isfinite(flat) | ((magnitude >= 1e-5) & (magnitude < 1e-4)))
+    if not respell.size:
+        return text if sep == "," else text.replace(",", sep)
+    tokens = text.split(",")
+    for i in respell:
         tokens[i] = repr(float(flat[i]))
-    return tokens
+    return sep.join(tokens)
 
 
 def _clean(values: np.ndarray) -> np.ndarray:
@@ -273,14 +284,16 @@ def _open_output(path):
 
 def _write_json(fh, value, level: int = 0) -> None:
     """Write ``value`` as ``json.dump(value, fh, sort_keys=True, indent=1,
-    allow_nan=False)`` would, with each 1-D float array row spelled by
-    ``_float_tokens``.  A non-finite number raises ValueError."""
+    allow_nan=False)`` would.  Each 1-D float array row is one
+    ``_float_text`` with the comma and the indent of the next line as its
+    separator, written between its brackets as it is.  A non-finite number
+    raises ValueError."""
     indent = "\n" + " " * level
     pad = indent + " "
     if isinstance(value, np.ndarray) and value.ndim == 1 and value.size:
         if not np.isfinite(value).all():
             raise ValueError("Out of range float values are not JSON compliant")
-        fh.write("[" + pad + ("," + pad).join(_float_tokens(value)) + indent + "]")
+        fh.write("[" + pad + _float_text(value, "," + pad) + indent + "]")
         return
     if isinstance(value, dict):
         brackets, items = "{}", [(json.dumps(k) + ": ", value[k]) for k in sorted(value)]

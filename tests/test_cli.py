@@ -314,7 +314,7 @@ def test_check_fails_a_hessian_pair_off_by_1e_3(n_cells, tmp_path, capsys, monke
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("log10_d", [0.3, 3, 7.5, 10, 50, 105, 149])
+@pytest.mark.parametrize("log10_d", [0.3, 2.1, 2.2, 3, 7.5, 10, 50, 105, 149])
 def test_check_passes_from_d_2_to_1e149(log10_d, tmp_path, capsys):
     assert main(["check", write_config(tmp_path, n_cells=4, d=10.0**log10_d)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "all 5 checks passed"

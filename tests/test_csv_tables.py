@@ -26,7 +26,7 @@ from rydphon import (
 from rydphon import __version__, cli
 from rydphon.cli import main
 from rydphon.geometry import spec_to_dict
-from rydphon.model_export import CONVENTIONS, _float_tokens
+from rydphon.model_export import CONVENTIONS
 
 from conftest import paper_spec
 
@@ -216,7 +216,7 @@ def test_float_column_spellings_match_row_path(tmp_path):
 def _tolist_text(spec, columns: dict) -> str:
     """The table the writer wrote when every non-float cell was ``str`` of its
     column's ``.tolist()`` entry."""
-    cells = [_float_tokens(c) if c.dtype.kind == "f" else list(map(str, c.tolist()))
+    cells = [list(map(repr if c.dtype.kind == "f" else str, c.tolist()))
              for c in map(np.asarray, columns.values())]
     rows = "".join(",".join(row) + "\n" for row in zip(*cells))
     return _csv(spec, ",".join(columns), []) + rows

@@ -128,8 +128,10 @@ def _float_text(values, sep: str) -> str:
 
     orjson writes the same shortest round-trip digits as ``repr``, but spells
     exponents ``e-7`` and ``e16`` where ``repr`` writes ``e-07`` and
-    ``e+16``.  Each is rewritten in the text with a fixed replacement string,
-    and only when the values, not the text, say that it can occur:
+    ``e+16``.  Each is rewritten in the text with a fixed replacement string
+    (the patterns match only the ``e-`` or ``e`` before the digits, so no
+    template is expanded per match), and only when the values, not the
+    text, say that it can occur:
     ``e-0`` when some |x| lies in [1e-10, 1e-5), as only those values print
     an exponent from -9 to -6; ``e+`` when some |x| >= 1e15, as orjson
     writes every smaller value positionally and an exponent only from 1e16
@@ -150,7 +152,7 @@ def _float_text(values, sep: str) -> str:
         text = _POSITIVE_EXPONENT.sub("e+", text)
     respell = np.flatnonzero(~np.isfinite(flat) | ((magnitude >= 1e-5) & (magnitude < 1e-4)))
     if not respell.size:
-        return text if sep == "," else text.replace(",", sep)
+        return text.replace(",", sep)
     tokens = text.split(",")
     for i in respell:
         tokens[i] = repr(float(flat[i]))

@@ -131,32 +131,44 @@ def _float_text(values, sep: str) -> str:
     ``e+16``.  Each is rewritten in the text with a fixed replacement string
     (the patterns match only the ``e-`` or ``e`` before the digits, so no
     template is expanded per match), and only when the values, not the
-    text, say that it can occur:
-    ``e-0`` when some |x| lies in [1e-10, 1e-5), as only those values print
-    an exponent from -9 to -6; ``e+`` when some |x| >= 1e15, as orjson
-    writes every smaller value positionally and an exponent only from 1e16
-    on.  Both bounds take in one decade more than they need.  The commas
-    become ``sep`` through one ``str.replace``.  orjson writes
-    1e-5 <= |x| < 1e-4 positionally and non-finite values as ``null``; a
-    row holding either is split, those tokens take ``repr`` one by one, and
-    the row is joined again.
+    text, say that it can occur: ``e-0`` when some |x| lies in
+    [1e-10, 1e-5), as only those values print an exponent from -9 to -6;
+    ``e+`` when some |x| >= 1e15, as orjson writes every smaller value
+    positionally and an exponent only from 1e16 on.  Both bounds take in
+    one decade more than they need.  orjson also writes 1e-5 <= |x| < 1e-4
+    positionally and non-finite values as ``null``; those tokens, found
+    between the commas, are replaced by their ``repr`` first (``_respelled``),
+    and neither rewrite matches what they become.  The commas become ``sep``
+    through one ``str.replace``; the text is never split into tokens.
     """
     import orjson  # imported here so that importing the CLI does not load it
 
     flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1]
+    raw = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)
     magnitude = np.abs(flat)
+    respell = np.flatnonzero(~np.isfinite(flat) | ((magnitude >= 1e-5) & (magnitude < 1e-4)))
+    if respell.size:
+        raw = _respelled(raw, flat, respell)
+    text = raw.decode()[1:-1]
     if ((magnitude >= 1e-10) & (magnitude < 1e-5)).any():
         text = _ONE_DIGIT_NEGATIVE_EXPONENT.sub("e-0", text)
     if (magnitude >= 1e15).any():
         text = _POSITIVE_EXPONENT.sub("e+", text)
-    respell = np.flatnonzero(~np.isfinite(flat) | ((magnitude >= 1e-5) & (magnitude < 1e-4)))
-    if not respell.size:
-        return text.replace(",", sep)
-    tokens = text.split(",")
-    for i in respell:
-        tokens[i] = repr(float(flat[i]))
-    return sep.join(tokens)
+    return text.replace(",", sep)
+
+
+def _respelled(raw: bytes, flat: np.ndarray, indices: np.ndarray) -> bytes:
+    """orjson's ``[...]`` text of ``flat`` with the tokens at ``indices``
+    (ascending) replaced by their ``repr``.  Token k lies between delimiter
+    k and k + 1: the opening bracket, the commas, the closing bracket."""
+    commas = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord(","))
+    delimiters = np.concatenate(([0], commas, [len(raw) - 1])).tolist()
+    pieces, done = [], 0
+    for k in indices.tolist():
+        pieces += [raw[done:delimiters[k] + 1], repr(float(flat[k])).encode()]
+        done = delimiters[k + 1]
+    pieces.append(raw[done:])
+    return b"".join(pieces)
 
 
 def _clean(values: np.ndarray) -> np.ndarray:

@@ -87,14 +87,16 @@ class _CountingPattern:
         return self.pattern.sub(repl, text)
 
 
-# one row per path of _float_text, with the rewrites it runs: (e-0, e+, respelled)
+# one row per path of _float_text, with the rewrites it runs: (e-0, e+, respelled);
+# the respelled values sit first, last and side by side
 _PATH_ROWS = {
     "plain": ([0.0, -0.0, 0.125, -2.5, 1e-4, 3.75e14, -np.nextafter(1e15, 0.0), 5e-324,
                -9.9e-11, 1.5e-300], (0, 0, False)),
     "one-digit-negative-exponents": ([1e-10, -3.3e-6, 7e-9, 0.5, 2.5e-99], (1, 0, False)),
-    "from-1e-5-to-1e-4": ([1e-5, -3.3e-5, np.nextafter(1e-4, 0.0), 0.5], (0, 0, True)),
+    "from-1e-5-to-1e-4": ([1e-5, -3.3e-5, 0.5, np.nextafter(1e-4, 0.0), 2e-5], (0, 0, True)),
     "from-1e16-only": ([1e16, -1.25e16, 3.5e21, np.finfo(float).max, 1e15, 0.5], (0, 1, False)),
-    "non-finite": ([np.inf, -np.inf, np.nan, 0.5], (0, 1, True)),
+    "non-finite": ([np.nan, np.inf, 0.5, -np.inf], (0, 1, True)),
+    "everything": ([np.nan, 7e-9, 1e16, 3.3e-5, 0.5, 1e-300], (1, 1, True)),
 }
 
 

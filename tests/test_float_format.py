@@ -109,13 +109,13 @@ def test_each_path_spells_its_row_as_repr(monkeypatch, case, sep):
                 _CountingPattern(model_export._POSITIVE_EXPONENT)]
     monkeypatch.setattr(model_export, "_ONE_DIGIT_NEGATIVE_EXPONENT", patterns[0])
     monkeypatch.setattr(model_export, "_POSITIVE_EXPONENT", patterns[1])
-    splits = []
+    reprs = []   # the values that take repr one by one
     real_repr = repr
-    monkeypatch.setattr(model_export, "repr", lambda x: splits.append(x) or real_repr(x),
+    monkeypatch.setattr(model_export, "repr", lambda x: reprs.append(x) or real_repr(x),
                         raising=False)
     assert _float_text(values, sep) == _joined_reprs(values, sep)
     assert [p.calls for p in patterns] == [negative, positive]
-    assert bool(splits) == respelled
+    assert bool(reprs) == respelled
 
 
 @TOKENS

@@ -223,11 +223,21 @@ def band_structure(
     eigenvectors (degenerate groups re-spanned, then every column gauge-fixed).
 
     relax=True relaxes the bulk first.
+
+    Stability is also checked at q = 0, where band 1 softens first, when the
+    grid holds no exact 0.0 (every odd grid, and some even ones): D(0) is
+    summed as one more column of the same kernel, whose columns are computed
+    apart, and only its eigenvalues are taken.  So the grid's parity cannot
+    decide whether the lattice is stable.
     """
     qs = q_grid(spec, q_points)
-    dyn = _dynamical_matrices(qs, spec, _bulk_deltas(spec, relax))
-    lam, vec = np.linalg.eigh(dyn)
+    nq = len(qs)
+    at_zero = [] if (qs == 0.0).any() else [0.0]
+    dyn = _dynamical_matrices(np.concatenate([qs, at_zero]), spec, _bulk_deltas(spec, relax))
+    lam, vec = np.linalg.eigh(dyn[:nq])
     omega = _freqs_from_lambda(lam / spec.mass, "band_structure")
+    if at_zero:
+        _freqs_from_lambda(np.linalg.eigvalsh(dyn[nq:]) / spec.mass, "band_structure (q = 0)")
     for k in np.flatnonzero((np.diff(lam, axis=1) <= DEGENERACY_TOL).any(axis=1)):
         vec[k] = _respan_degenerate(lam[k], vec[k])
     return BandStructure(q_grid=qs, omega=omega, xi=_gauge_fix(vec), spec=spec, relaxed=relax)

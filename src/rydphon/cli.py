@@ -5,6 +5,8 @@ Exit codes: 0 success, 1 computation error, 2 configuration or
 argument error, 3 check failure.  All outputs are deterministic
 functions of the configuration file and the arguments; the sweep
 evaluates its points one after another and writes them in sweep order.
+A command on a chain of at most 16 cells runs numpy's BLAS on one thread
+(``_serial_blas``), as its matrices are too small for a second one to pay.
 
 Every CSV goes through one writer, ``_write_table``: each subcommand
 hands it named columns of equal length, the header is their names, and
@@ -17,6 +19,8 @@ are spelled by the one formatter that also writes the model file,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import os
 import sys
 
@@ -43,6 +47,10 @@ EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_CONFIG = 2
 EXIT_CHECK = 3
+
+# A command on a chain of at most this many cells (96 coordinates) runs BLAS on
+# one thread; up to it, the outputs are the bytes that two threads give.
+_SERIAL_BLAS_CELLS = 16
 
 _CONVENTIONS_COMMENT = "conventions: " + "; ".join(f"{k}={v}" for k, v in CONVENTIONS.items())
 _CHUNK_ROWS = 4096
@@ -389,13 +397,59 @@ def _check_outputs(args):
         replaced.add(target)
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles, or
+    None where numpy links another BLAS.  Looked up on first use only."""
+    import ctypes
+
+    try:
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy < 2
+            from numpy.core import _multiarray_umath as umath
+        lib = ctypes.CDLL(umath.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.restype = ctypes.c_int
+    set_.argtypes = [ctypes.c_int]
+    return get, set_
+
+
+@contextlib.contextmanager
+def _serial_blas(spec: ChainSpec):
+    """Run the block on one BLAS thread if the chain has at most
+    ``_SERIAL_BLAS_CELLS`` cells, and give the caller's count back after it.
+
+    Its matrices are at most 96 x 96 then (the Bloch matrices 6 x 6), which a
+    second thread slows down: a 42 x 42 ``eigh`` takes about 16 ms on two
+    OpenBLAS threads and 0.14 ms on one.  Up to 16 cells, both thread counts
+    give the same bytes; larger chains keep the caller's count.  Only the
+    command line sets it, as the thread count belongs to the whole process.
+    """
+    blas = _openblas_threads() if spec.n_cells <= _SERIAL_BLAS_CELLS else None
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    caller = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(caller)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _check_outputs(args)
         with _open_output(None):  # the tables and summary lines that go to stdout
-            return args.func(load_chain_spec(args.config), args)
+            spec = load_chain_spec(args.config)
+            with _serial_blas(spec):
+                return args.func(spec, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

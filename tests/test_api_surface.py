@@ -65,6 +65,7 @@ FIXED = {
     (bands, "_END_DECAY_THRESHOLD"): 1.8,
     (local_phonons, "_EXCLUDE_OUTER_CELLS"): 1,
     (atom_phonon, "_COUPLED_FRACTION"): 0.05,
+    (cli, "_SERIAL_BLAS_CELLS"): 16,
 }
 
 

@@ -243,6 +243,27 @@ def test_imaginary_frequency_raised_for_squeezed_chain():
         band_structure(paper_spec(d=1.3), q_points=64)
 
 
+_TRAP_CENTER_EDGE = 1.4543428510  # root of the least eigenvalue of D(0), both topologies
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_odd_grid_is_unstable_below_the_q0_edge_and_keeps_its_bands_above(topology):
+    """A 17-point grid misses q = 0, where band 1 softens first; it raises
+    below the edge and, above it, gives the bytes of the grid alone."""
+    with pytest.raises(ImaginaryFrequencyError, match=r"\(q = 0\)"):
+        band_structure(paper_spec(d=_TRAP_CENTER_EDGE * (1 - 1e-9), topology=topology),
+                       q_points=17)
+    spec = paper_spec(d=_TRAP_CENTER_EDGE * (1 + 1e-9), topology=topology)
+    bands = band_structure(spec, q_points=17)
+    assert not (bands.q_grid == 0.0).any()
+    # the grid alone, as band_structure computed it before the q = 0 column
+    lam, vec = np.linalg.eigh(_dynamical_matrices(q_grid(spec, 17), spec, np.zeros((2, 3))))
+    for k in np.flatnonzero((np.diff(lam, axis=1) <= bands_module.DEGENERACY_TOL).any(axis=1)):
+        vec[k] = _respan_degenerate(lam[k], vec[k])
+    assert bands.omega.tobytes() == np.sqrt(np.clip(lam / spec.mass, 0.0, None)).tobytes()
+    assert bands.xi.tobytes() == _gauge_fix(vec).tobytes()
+
+
 def test_band_structure_with_relaxed_geometry():
     spec = paper_spec()
     bare = band_structure(spec, q_points=64)
@@ -389,6 +410,22 @@ def test_edge_detection_robust_at_double_length():
     for topology, expected in ((Topology.TOPOLOGICAL, 3), (Topology.TRIVIAL, 0)):
         fs = finite_spectrum(paper_spec(topology=topology, n_cells=14))
         assert fs.n_edge_modes == expected
+
+
+# edge modes flagged at the trap centers, at 7, 20, 50 and 100 cells: the
+# 7-cell topological counts hold one member of an even/odd pair of end modes
+# whose partner lies just inside a bulk band, and the longer chains both
+@pytest.mark.parametrize("topology, d, counts", [
+    (Topology.TOPOLOGICAL, 2.0, [3, 4, 4, 4]),
+    (Topology.TOPOLOGICAL, 1.6, [1, 2, 2, 2]),
+    (Topology.TRIVIAL, 1.6, [1, 1, 1, 1]),
+    (Topology.TRIVIAL, 2.0, [0, 0, 0, 0]),
+    (Topology.TRIVIAL, 2.5, [0, 0, 0, 0]),
+    (Topology.TRIVIAL, 3.0, [0, 0, 0, 0]),
+])
+def test_edge_mode_counts_from_7_to_100_cells(topology, d, counts):
+    assert [finite_spectrum(paper_spec(d=d, topology=topology, n_cells=n)).n_edge_modes
+            for n in (7, 20, 50, 100)] == counts
 
 
 def test_detect_uniform_mode_not_flagged():

@@ -573,3 +573,75 @@ def test_extreme_spacing_exits_one_without_output(tmp_path, monkeypatch, capsys,
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.json"]
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """numpy's OpenBLAS (get, set) at two threads, and the count it had back after."""
+    blas = cli._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy does not bundle OpenBLAS")
+    get, set_ = blas
+    before = get()
+    set_(2)
+    yield get, set_
+    set_(before)
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["exit-0", "exit-1"])
+@pytest.mark.parametrize("n_cells, threads", [(16, 1), (17, 2)])
+def test_blas_runs_on_one_thread_up_to_16_cells_and_is_given_back(
+        tmp_path, monkeypatch, capsys, blas_at_two_threads, n_cells, threads, fails):
+    get, _ = blas_at_two_threads
+    seen = []
+
+    def command(spec, args):
+        seen.append(get())
+        if fails:
+            raise rydphon.ImaginaryFrequencyError("made to fail")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_spectrum", command)
+    assert main(["spectrum", write_config(tmp_path, n_cells=n_cells)]) == (1 if fails else 0)
+    assert seen == [threads]
+    assert get() == 2
+
+
+def test_one_blas_thread_keeps_the_bytes_of_two_at_16_cells(tmp_path, blas_at_two_threads):
+    """``spectrum --relax`` and ``local --relax`` of a 16-cell chain in child
+    processes started with two OpenBLAS threads, as shipped (one thread) and
+    with the bound at 0 cells (two threads), write the same bytes."""
+    cfg = write_config(tmp_path, n_cells=16, topology=rydphon.Topology.TOPOLOGICAL)
+    env = dict(child_env(), OPENBLAS_NUM_THREADS="2")
+    outputs = {}
+    for bound in (None, 0):
+        run = "from rydphon import cli; import sys; "
+        if bound is not None:
+            run += f"cli._SERIAL_BLAS_CELLS = {bound}; "
+        run += "sys.exit(cli.main(sys.argv[1:]))"
+        names = [f"spectrum-{bound}.csv", f"g-{bound}.csv", f"j-{bound}.csv"]
+        for argv in (["spectrum", cfg, "--relax", "--out", names[0]],
+                     ["local", cfg, "--relax", "--out-g", names[1], "--out-j", names[2]]):
+            subprocess.run([sys.executable, "-c", run, *argv], env=env, cwd=tmp_path,
+                           check=True, stdout=subprocess.DEVNULL)
+        outputs[bound] = [(tmp_path / name).read_bytes() for name in names]
+    assert outputs[None] == outputs[0]
+
+
+@pytest.fixture
+def fresh_blas_lookup():
+    cli._openblas_threads.cache_clear()
+    yield
+    cli._openblas_threads.cache_clear()
+
+
+def test_a_failed_blas_lookup_leaves_main_and_its_bytes_as_they_were(tmp_path, monkeypatch,
+                                                                     fresh_blas_lookup):
+    cfg = write_config(tmp_path)
+    assert main(["spectrum", cfg, "--out", str(tmp_path / "found.csv")]) == 0
+    import ctypes
+    cli._openblas_threads.cache_clear()
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())  # a library without the symbols
+    assert main(["spectrum", cfg, "--out", str(tmp_path / "missing.csv")]) == 0
+    assert cli._openblas_threads() is None
+    assert (tmp_path / "missing.csv").read_bytes() == (tmp_path / "found.csv").read_bytes()

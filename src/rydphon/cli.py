@@ -422,11 +422,10 @@ def _serial_blas(spec: ChainSpec):
     """Run the block on one BLAS thread if the chain has at most
     ``_SERIAL_BLAS_CELLS`` cells, and give the caller's count back after it.
 
-    Its matrices are at most 96 x 96 then (the Bloch matrices 6 x 6), which a
-    second thread slows down: a 42 x 42 ``eigh`` takes about 16 ms on two
-    OpenBLAS threads and 0.14 ms on one.  Up to 16 cells, both thread counts
-    give the same bytes; larger chains keep the caller's count.  Only the
-    command line sets it, as the thread count belongs to the whole process.
+    Its matrices are at most 96 x 96 then, which a second thread slows down:
+    a 42 x 42 ``eigh`` takes about 16 ms on two OpenBLAS threads and 0.14 ms
+    on one.  Only the command line sets the count, as it belongs to the
+    whole process.
     """
     blas = _openblas_threads() if spec.n_cells <= _SERIAL_BLAS_CELLS else None
     if blas is None:

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import resource
@@ -639,7 +640,6 @@ def test_a_failed_blas_lookup_leaves_main_and_its_bytes_as_they_were(tmp_path, m
                                                                      fresh_blas_lookup):
     cfg = write_config(tmp_path)
     assert main(["spectrum", cfg, "--out", str(tmp_path / "found.csv")]) == 0
-    import ctypes
     cli._openblas_threads.cache_clear()
     monkeypatch.setattr(ctypes, "CDLL", lambda path: object())  # a library without the symbols
     assert main(["spectrum", cfg, "--out", str(tmp_path / "missing.csv")]) == 0

@@ -4,8 +4,10 @@ band tracking, edge-mode detection and band-shape diagnostics.
 Bulk quantities are evaluated at the trap centers by default; pass
 relax=True to use the relaxed geometry instead (only available where the
 relaxed chain exists: at the default spec of configs/default.json, the
-relaxed bulk for d >= 1.883584 and the 7- and 50-cell chains for
-d >= 1.884485 and 1.884487; see the README).
+7- and 50-cell chains for d >= 1.884485 and 1.884487, and the relaxed bulk
+above its fold near d = 1.8834879, though relax_bulk's cutoff-drift check
+passes only from d = 1.883584 on and the relaxed bands are stable only
+from d = 1.883739 on; see the README).
 """
 
 from __future__ import annotations

@@ -9,9 +9,11 @@ A command on a chain of at most 16 cells runs numpy's BLAS on one thread
 (``_serial_blas``), as its matrices are too small for a second one to pay.
 
 Every CSV goes through one writer, ``_write_table``: each subcommand
-hands it named columns of equal length, the header is their names, and
-the rows are formatted and written a fixed number at a time, to the file
-or to stdout, so no output's whole text is held in memory.  Float cells
+hands it named columns of one shape, the header is their names, and the
+rows are formatted and written about a fixed number at a time, to the file
+or to stdout, so no output's whole text is held in memory.  ``local``
+hands its (n, m, i, j) keys and the transposed g as views of g's shape,
+so its 9N^2-row table adds no full-size array to g and h.  Float cells
 are spelled by the one formatter that also writes the model file,
 ``model_export._float_text``.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import os
 import sys
 
@@ -59,21 +62,33 @@ _CHUNK_ROWS = 4096
 def _write_table(path, spec: ChainSpec, columns: dict, comments=()):
     """Write a CSV table to ``path``, or to stdout when it is None.
 
-    ``columns`` maps each column name, in order, to a 1-D array or list;
-    all have the same length.  Comment lines with the tool version, configuration
-    hash, conventions and ``comments`` come first, then the names.  A float
-    cell is its shortest round-trip ``repr``: the chunk's ``_float_text``
-    with comma separators, split at the commas.  Any
-    other cell (int, bool, text) is ``str`` of the array's ``.tolist()``
+    ``columns`` maps each column name, in order, to a list or an array whose
+    C-order flattening is the column; all have one shape, else ValueError
+    names them before anything is written.  An N-D column may be a view (a
+    transpose, a ``np.broadcast_to`` of its keys), so a table of 9N^2 rows
+    needs no full-size index or value copy.  Comment lines with the tool
+    version, configuration hash, conventions and ``comments`` come first,
+    then the names.  Rows go out in chunks of whole slabs along the first
+    axis: as many slabs as fit in ``_CHUNK_ROWS`` rows, and at least one, so
+    a 1-D column is written ``_CHUNK_ROWS`` rows at a time; each chunk is
+    ``c[lo:hi].ravel()``.  A float cell is its shortest round-trip ``repr``:
+    the chunk's ``_float_text`` with comma separators, split at the commas.
+    Any other cell (int, bool, text) is ``str`` of the array's ``.tolist()``
     entry, from ``_str_tokens``, chunk by chunk.
     """
     cols = [np.asarray(c) for c in columns.values()]
+    shapes = [c.shape for c in cols]
+    if any(shape != shapes[0] for shape in shapes):
+        raise ValueError("table columns differ in shape: "
+                         + ", ".join(f"{name} {shape}" for name, shape in zip(columns, shapes)))
+    slab = math.prod(shapes[0][1:])                # rows per index of the first axis
+    step = max(1, _CHUNK_ROWS // max(slab, 1))     # slabs per chunk
     head = [f"rydphon {__version__}", f"config_hash={spec_digest(spec)}", _CONVENTIONS_COMMENT,
             *comments]
     with _open_output(path) as fh:
         fh.write("".join(f"# {line}\n" for line in head) + ",".join(columns) + "\n")
-        for start in range(0, len(cols[0]), _CHUNK_ROWS):
-            chunks = [c[start:start + _CHUNK_ROWS] for c in cols]
+        for lo in range(0, len(cols[0]) if slab else 0, step):
+            chunks = [c[lo:lo + step].ravel() for c in cols]
             cells = [_float_text(c, ",").split(",") if c.dtype.kind == "f" else _str_tokens(c)
                      for c in chunks]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
@@ -133,9 +148,15 @@ def cmd_spectrum(spec: ChainSpec, args) -> int:
 def cmd_local(spec: ChainSpec, args) -> int:
     model = local_phonon_model(spec, relax=args.relax)
     g = model.g.transpose(0, 2, 1, 3)   # rows ordered by (n, m, i, j)
-    n, m, i, j = np.indices(g.shape).reshape(4, -1)
+    atoms = np.arange(g.shape[0])
     axes = np.array(["x", "y", "z"])
-    _write_table(args.out_g, spec, {"n": n, "m": m, "i": axes[i], "j": axes[j], "value": g.ravel()})
+    _write_table(args.out_g, spec, {   # the keys as views of g's shape, never copied whole
+        "n": np.broadcast_to(atoms[:, None, None, None], g.shape),
+        "m": np.broadcast_to(atoms[:, None, None], g.shape),
+        "i": np.broadcast_to(axes[:, None], g.shape),
+        "j": np.broadcast_to(axes, g.shape),
+        "value": g,
+    })
     keys = sorted(model.J)
     _write_table(args.out_j, spec, {"separation": [s for s, _ in keys],
                                     "bond_class": [c for _, c in keys],

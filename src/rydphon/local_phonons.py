@@ -20,6 +20,7 @@ from .potential import hessian
 
 _IMAG_TOL = 1e-8
 _EXCLUDE_OUTER_CELLS = 1  # aggregate_J skips pairs that touch this many cells at either end
+_SLAB_ENTRIES = 1 << 16   # entries of g per slab that coupling_matrices fills at once
 
 
 def local_frequencies(harmonic: np.ndarray, mass: float) -> np.ndarray:
@@ -40,13 +41,22 @@ def coupling_matrices(harmonic: np.ndarray, omega_local: np.ndarray, mass: float
 
     g_{nm}^{ij} = (1 - delta_nm delta_ij) D_{nm}^{ij} / (2 M sqrt(Om_ni Om_mj)),
     h = diag(Omega) + g.
+
+    g is filled in slabs of atoms n of about ``_SLAB_ENTRIES`` entries (a
+    chain of up to 85 atoms is one slab), so the denominator's temporaries
+    stay slab-sized rather than (N, 3, N, 3).  Each entry is the same
+    product, square root and quotient as over the whole table at once, so
+    the bytes do not depend on the slab size.
     """
     n_atoms = omega_local.shape[0]
     blocks = harmonic.reshape(n_atoms, 3, n_atoms, 3)
-    denom = 2.0 * mass * np.sqrt(
-        omega_local[:, :, None, None] * omega_local[None, None, :, :]
-    )
-    g = blocks / denom
+    g = np.empty_like(blocks)
+    step = max(1, _SLAB_ENTRIES // (9 * n_atoms))
+    for k0 in range(0, n_atoms, step):
+        k1 = k0 + step
+        np.divide(blocks[k0:k1],
+                  2.0 * mass * np.sqrt(omega_local[k0:k1, :, None, None] * omega_local),
+                  out=g[k0:k1])
     n, i = np.indices((n_atoms, 3))
     g[n, i, n, i] = 0.0
     h = g.copy()

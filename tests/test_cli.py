@@ -5,6 +5,7 @@ import resource
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -150,7 +151,7 @@ def test_unstable_chain_exits_one(tmp_path, capsys):
 def test_relaxing_below_the_edge_names_the_missing_equilibrium(tmp_path, capsys, command,
                                                                outputs):
     """d = 1.6 lies below the relaxed-existence edges of the 7-cell chain
-    (1.884485) and of the bulk (1.883584): the descent drives two atoms
+    (1.884485) and the bulk's fold (near 1.8834879): the descent drives two atoms
     together, and the error says why.  bands and coupling relax the bulk."""
     cfg = write_config(tmp_path, d=1.6)
     paths = [a for k, flag in enumerate(outputs) for a in (flag, str(tmp_path / f"{k}.csv"))]
@@ -203,6 +204,22 @@ def test_local_outputs(tmp_path):
     assert len(g_rows) == 9 * 14 * 14
     j_rows = data_lines(out_j)[1:]
     assert j_rows[0].split(",")[:2] == ["1", "0"]
+
+
+def test_local_holds_no_full_size_temporary_beyond_its_matrices(tmp_path):
+    """The harmonic matrix, g and h are three (3N)^2 float arrays; a full
+    (n, m, i, j) index grid or a copy of g would add at least one more.
+    numpy reports its array buffers to tracemalloc."""
+    spec = paper_spec(n_cells=100)
+    cfg = write_config(tmp_path, n_cells=100)
+    argv = ["local", cfg, "--out-g", str(tmp_path / "g.csv"), "--out-j", str(tmp_path / "j.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (3 * spec.n_atoms) ** 2 * 8
 
 
 def test_coupling_output(tmp_path, capsys):

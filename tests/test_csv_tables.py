@@ -272,3 +272,71 @@ def test_str_tokens_equal_str_of_tolist(name):
     column)."""
     values = _TOKEN_COLUMNS[name]
     assert cli._str_tokens(values) == [str(v) for v in values.tolist()]
+
+
+def test_columns_of_unequal_shape_are_refused_before_the_header(tmp_path, capsys):
+    """zip would cut the longer column short, and a g passed without its
+    transpose would pair each value with another row's keys."""
+    spec = paper_spec()
+    out = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"a \(3,\), b \(2,\)"):
+        cli._write_table(out, spec, {"a": np.arange(3), "b": np.array([0.5, 1.5])})
+    g = np.arange(6.0).reshape(2, 3)
+    with pytest.raises(ValueError, match=r"n \(2, 3\), value \(3, 2\)"):
+        cli._write_table(None, spec, {"n": np.broadcast_to(np.arange(2)[:, None], (2, 3)),
+                                      "value": g.T})
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+def _nd_columns(shape):
+    """Keys broadcast from the first and last axes, a text key, a flag, and a
+    float column that is a transposed view with every float spelling in it."""
+    first = np.broadcast_to(np.arange(shape[0]).reshape(-1, *[1] * (len(shape) - 1)), shape)
+    last = np.broadcast_to(np.array(["x", "y", "z", "w", "v"])[np.arange(shape[-1]) % 5], shape)
+    size = int(np.prod(shape))
+    spellings = np.array([1e-17, 3.3e-5, -0.0, 0.1, 1e16, -2.5, float("nan"), float("inf")])
+    values = np.resize(spellings * np.arange(1, 4)[:, None], size).reshape(shape[::-1]).T
+    return {"first": first, "last": last, "flag": (np.arange(size) % 3 == 0).reshape(shape),
+            "value": values}
+
+
+# shapes whose slabs fit a chunk unevenly (105 and 1001 rows), a slab longer
+# than a chunk, plain 1-D columns, and empty tables
+_ND_SHAPES = [(100, 5, 7, 3), (9, 7, 11, 13), (3, 4500), (2, 2, 2100), (10000,), (6, 3, 3),
+              (0, 3, 3), (0,), (4, 0)]
+
+
+@pytest.mark.parametrize("shape", _ND_SHAPES, ids=str)
+def test_nd_columns_write_the_bytes_of_their_raveled_columns(tmp_path, shape):
+    columns = _nd_columns(shape)
+    nd, flat = tmp_path / "nd.csv", tmp_path / "flat.csv"
+    cli._write_table(nd, paper_spec(), columns, ["a comment"])
+    cli._write_table(flat, paper_spec(), {k: np.ravel(c) for k, c in columns.items()},
+                     ["a comment"])
+    assert nd.read_bytes() == flat.read_bytes()
+    assert len(_lines(nd.read_text())) == 5 + int(np.prod(shape))
+
+
+def test_list_columns_next_to_nd_columns(tmp_path):
+    """A nested list is the column of its C-order flattening, as its array is."""
+    g = np.linspace(-1.0, 1.0, 2 * 3 * 5).reshape(2, 5, 3).transpose(0, 2, 1)
+    columns = {"n": np.broadcast_to(np.arange(2)[:, None, None], g.shape),
+               "listed": np.round(10 * g).astype(int).tolist(), "value": g}
+    nd, flat = tmp_path / "nd.csv", tmp_path / "flat.csv"
+    cli._write_table(nd, paper_spec(), columns)
+    cli._write_table(flat, paper_spec(), {k: np.ravel(c) for k, c in columns.items()})
+    assert nd.read_bytes() == flat.read_bytes()
+
+
+@pytest.mark.parametrize("shape, chunks", [
+    ((2 * _CHUNK + 5,), [_CHUNK, _CHUNK, 5]),          # 1-D: _CHUNK_ROWS rows at a time
+    ((100, 105), [39 * 105, 39 * 105, 22 * 105]),      # whole slabs, as many as fit
+    ((3, 4500), [4500, 4500, 4500]),                   # never less than one slab
+])
+def test_chunks_are_whole_slabs(monkeypatch, shape, chunks):
+    seen = []
+    tokens = cli._str_tokens
+    monkeypatch.setattr(cli, "_str_tokens", lambda c: seen.append(len(c)) or tokens(c))
+    cli._write_table(None, paper_spec(), {"k": np.zeros(shape, dtype=int)})
+    assert seen == chunks

@@ -12,6 +12,7 @@ from rydphon import (
     hessian,
     local_frequencies,
     local_phonon_model,
+    relax_finite,
     trap_centers,
 )
 from rydphon import local_phonons
@@ -162,3 +163,42 @@ def test_aggregate_j_matches_pairwise_loop(exclude, monkeypatch):
                 expected[(s, cls)] = float(np.mean(vals))
     assert aggregate_J(g) == expected
 
+
+
+def _whole_table_g_h(harmonic, omega_local, mass):
+    """g and h as coupling_matrices computed them over the whole table at once."""
+    n_atoms = omega_local.shape[0]
+    blocks = harmonic.reshape(n_atoms, 3, n_atoms, 3)
+    denom = 2.0 * mass * np.sqrt(omega_local[:, :, None, None] * omega_local[None, None, :, :])
+    g = blocks / denom
+    n, i = np.indices((n_atoms, 3))
+    g[n, i, n, i] = 0.0
+    h = g.copy()
+    h[n, i, n, i] = omega_local
+    return g, h
+
+
+# (n_cells, entries per slab, slabs): the default slab size holds a 7-cell chain
+# in one slab and a 50-cell one in two (72 + 28 atoms); 504 entries are 4 atoms
+# of a 7-cell chain, so 4 + 4 + 4 + 2
+@pytest.mark.parametrize("n_cells, slab_entries, slabs", [
+    (7, local_phonons._SLAB_ENTRIES, 1), (7, 504, 4), (50, local_phonons._SLAB_ENTRIES, 2),
+])
+@pytest.mark.parametrize("relax", [False, True])
+@pytest.mark.parametrize("topology", list(Topology))
+def test_coupling_matrices_in_slabs_keep_the_whole_table_bytes(monkeypatch, n_cells,
+                                                               slab_entries, slabs, relax,
+                                                               topology):
+    spec = paper_spec(n_cells=n_cells, topology=topology)
+    harmonic = relax_finite(spec).hessian if relax else hessian(trap_centers(spec), spec)
+    omega = local_frequencies(harmonic, spec.mass)
+    monkeypatch.setattr(local_phonons, "_SLAB_ENTRIES", slab_entries)
+    divides = []
+    divide = np.divide
+    monkeypatch.setattr(np, "divide", lambda *a, **k: divides.append(1) or divide(*a, **k))
+    g, h = coupling_matrices(harmonic, omega, spec.mass)
+    monkeypatch.undo()
+    assert len(divides) == slabs
+    g_ref, h_ref = _whole_table_g_h(harmonic, omega, spec.mass)
+    assert g.tobytes() == g_ref.tobytes()
+    assert h.tobytes() == h_ref.tobytes()

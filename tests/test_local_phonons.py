@@ -164,7 +164,6 @@ def test_aggregate_j_matches_pairwise_loop(exclude, monkeypatch):
     assert aggregate_J(g) == expected
 
 
-
 def _whole_table_g_h(harmonic, omega_local, mass):
     """g and h as coupling_matrices computed them over the whole table at once."""
     n_atoms = omega_local.shape[0]

@@ -17,6 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
+from ._blas import parked
 from .equilibrium import _CUTOFF_CELLS, _bulk_partners, relax_bulk, relax_finite
 from .errors import ImaginaryFrequencyError
 from .geometry import ChainSpec, base_offsets, trap_centers
@@ -351,10 +352,13 @@ def finite_spectrum(
     relax=True diagonalizes the Hessian that ``relax_finite`` carries with
     the relaxed positions, so it is not built twice; the configuration's
     ``stable`` flag is never asked for, so its eigenvalues are not computed.
+    On the command line, the idle BLAS workers of the 3N x 3N ``eigh`` are
+    joined after it (``_blas.parked``).
     """
     ham = relax_finite(spec).hessian if relax else hessian(trap_centers(spec), spec)
     ham /= spec.mass  # in place: the configuration that carried ham is gone
-    lam, vec = np.linalg.eigh(ham)
+    with parked():  # the band structure and edge detection after it are single-threaded
+        lam, vec = np.linalg.eigh(ham)
     freqs = _freqs_from_lambda(lam, "finite_spectrum")
     bands = band_structure(spec, q_points=q_points, relax=relax)
     edges = bands.envelopes()

@@ -7,6 +7,10 @@ functions of the configuration file and the arguments; the sweep
 evaluates its points one after another and writes them in sweep order.
 A command on a chain of at most 16 cells runs numpy's BLAS on one thread
 (``_serial_blas``), as its matrices are too small for a second one to pay.
+On a longer chain, each threaded factorization of its 3N x 3N Hessian is
+followed by a join of the idle OpenBLAS workers (``_blas.parking``), so
+that they do not spin through the single-threaded work after it; the next
+threaded call starts them again, at the same count.
 
 Every CSV goes through one writer, ``_write_table``: each subcommand
 hands it named columns of one shape, the header is their names, and the
@@ -22,14 +26,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import math
 import os
 import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _blas
+from ._blas import _openblas_threads
 from .atom_phonon import coupled_bands, coupling_grid
 from .bands import DEFAULT_Q_POINTS, band_diagnostics, band_structure, finite_spectrum
 from .errors import ConfigError, RydphonError
@@ -418,26 +422,6 @@ def _check_outputs(args):
         replaced.add(target)
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS that numpy bundles, or
-    None where numpy links another BLAS.  Looked up on first use only."""
-    import ctypes
-
-    try:
-        try:
-            from numpy._core import _multiarray_umath as umath
-        except ImportError:  # numpy < 2
-            from numpy.core import _multiarray_umath as umath
-        lib = ctypes.CDLL(umath.__file__)
-        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (ImportError, OSError, AttributeError):
-        return None
-    get.restype = ctypes.c_int
-    set_.argtypes = [ctypes.c_int]
-    return get, set_
-
-
 @contextlib.contextmanager
 def _serial_blas(spec: ChainSpec):
     """Run the block on one BLAS thread if the chain has at most
@@ -446,19 +430,19 @@ def _serial_blas(spec: ChainSpec):
     Its matrices are at most 96 x 96 then, which a second thread slows down:
     a 42 x 42 ``eigh`` takes about 16 ms on two OpenBLAS threads and 0.14 ms
     on one.  Only the command line sets the count, as it belongs to the
-    whole process.
+    whole process.  Setting it starts the workers of a parked pool, and
+    ``_blas.set_threads`` joins them again.
     """
     blas = _openblas_threads() if spec.n_cells <= _SERIAL_BLAS_CELLS else None
     if blas is None:
         yield
         return
-    get, set_ = blas
-    caller = get()
-    set_(1)
+    caller = blas[0]()
+    _blas.set_threads(1)
     try:
         yield
     finally:
-        set_(caller)
+        _blas.set_threads(caller)
 
 
 def main(argv=None) -> int:
@@ -468,7 +452,7 @@ def main(argv=None) -> int:
         _check_outputs(args)
         with _open_output(None):  # the tables and summary lines that go to stdout
             spec = load_chain_spec(args.config)
-            with _serial_blas(spec):
+            with _blas.parking(), _serial_blas(spec):
                 return args.func(spec, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rydphon
-from rydphon import cli
+from rydphon import _blas, cli
 from rydphon.cli import main
 
 from conftest import child_env, paper_spec
@@ -646,19 +646,108 @@ def test_one_blas_thread_keeps_the_bytes_of_two_at_16_cells(tmp_path, blas_at_tw
     assert outputs[None] == outputs[0]
 
 
+def test_parked_workers_keep_the_bytes_of_live_ones_above_16_cells(tmp_path):
+    """``spectrum --relax`` and ``local --relax`` of 17- and 40-cell chains in
+    child processes started with two OpenBLAS threads, as shipped (the idle
+    workers joined after each factorization) and with ``blas_thread_shutdown_``
+    missing (never joined), write the same bytes."""
+    env = dict(child_env(), OPENBLAS_NUM_THREADS="2")
+    argvs = []
+    for n_cells in (17, 40):
+        cfg = write_config(tmp_path, f"chain{n_cells}.json", n_cells=n_cells,
+                           topology=rydphon.Topology.TOPOLOGICAL)
+        argvs += [["spectrum", cfg, "--relax", "--out", f"spectrum{n_cells}.csv"],
+                  ["local", cfg, "--relax", "--out-g", f"g{n_cells}.csv",
+                   "--out-j", f"j{n_cells}.csv"]]
+    names = [a for argv in argvs for a in argv if a.endswith(".csv")]
+    outputs, parked = {}, {}
+    for shutdown in ("found", "missing"):
+        run = ("import json, sys; from rydphon import _blas, cli; "
+               + ("_blas._thread_shutdown = lambda: None; " if shutdown == "missing" else "")
+               + "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+               "print(json.dumps([codes, _blas._parked]))")
+        workdir = tmp_path / shutdown
+        workdir.mkdir()
+        done = subprocess.run([sys.executable, "-c", run, json.dumps(argvs)], env=env,
+                              cwd=workdir, check=True, capture_output=True, text=True)
+        codes, parked[shutdown] = json.loads(done.stdout.splitlines()[-1])
+        assert codes == [0] * len(argvs)
+        outputs[shutdown] = [(workdir / name).read_bytes() for name in names]
+    assert parked == {"found": True, "missing": False}
+    assert outputs["found"] == outputs["missing"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc/self/task")
+def test_a_command_joins_the_idle_workers_and_keeps_the_thread_count(tmp_path,
+                                                                     blas_at_two_threads):
+    """The library's own relaxed spectrum of a 17-cell chain leaves the
+    OpenBLAS worker thread alone.  After the command line's, the worker is
+    gone and the count still reads 2; a 16-cell command after it, which sets
+    the count twice, leaves no worker behind; the next threaded call starts
+    one."""
+    if _blas._thread_shutdown() is None:
+        pytest.skip("numpy's OpenBLAS exports no blas_thread_shutdown_")
+    get, _ = blas_at_two_threads
+
+    def threads():
+        return set(os.listdir("/proc/self/task"))
+
+    matrix = np.random.default_rng(0).standard_normal((300, 300))
+    np.linalg.eigh(matrix + matrix.T)  # the pool is live
+    live = threads()
+    rydphon.finite_spectrum(paper_spec(n_cells=17), relax=True)
+    assert threads() == live
+    assert main(["spectrum", write_config(tmp_path, "c17.json", n_cells=17), "--relax",
+                 "--out", str(tmp_path / "s17.csv")]) == 0
+    parked = threads()
+    assert len(live - parked) == 1 and parked < live
+    assert get() == 2
+    assert main(["spectrum", write_config(tmp_path, "c16.json", n_cells=16), "--relax",
+                 "--out", str(tmp_path / "s16.csv")]) == 0
+    assert threads() == parked
+    assert get() == 2
+    np.linalg.eigh(matrix + matrix.T)
+    assert len(threads() - parked) == 1
+
+
 @pytest.fixture
 def fresh_blas_lookup():
     cli._openblas_threads.cache_clear()
+    _blas._thread_shutdown.cache_clear()
     yield
     cli._openblas_threads.cache_clear()
+    _blas._thread_shutdown.cache_clear()
+
+
+class _Without:
+    """A ctypes library whose attributes are those of ``lib`` but ``missing``."""
+
+    def __init__(self, lib, missing):
+        self._lib, self._missing = lib, missing
+
+    def __getattr__(self, name):
+        if name == self._missing:
+            raise AttributeError(name)
+        return getattr(self._lib, name)
 
 
 def test_a_failed_blas_lookup_leaves_main_and_its_bytes_as_they_were(tmp_path, monkeypatch,
                                                                      fresh_blas_lookup):
-    cfg = write_config(tmp_path)
-    assert main(["spectrum", cfg, "--out", str(tmp_path / "found.csv")]) == 0
-    cli._openblas_threads.cache_clear()
-    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())  # a library without the symbols
-    assert main(["spectrum", cfg, "--out", str(tmp_path / "missing.csv")]) == 0
-    assert cli._openblas_threads() is None
-    assert (tmp_path / "missing.csv").read_bytes() == (tmp_path / "found.csv").read_bytes()
+    """A 17-cell relaxed spectrum writes the same bytes with every OpenBLAS
+    symbol found, with the shutdown symbol missing, and with none found."""
+    cfg = write_config(tmp_path, n_cells=17)
+    assert main(["spectrum", cfg, "--relax", "--out", str(tmp_path / "found.csv")]) == 0
+    real = ctypes.CDLL
+    libraries = {  # numpy's library without the one symbol, and a library without any
+        "blas_thread_shutdown_": lambda path: _Without(real(path), "blas_thread_shutdown_"),
+        "all": lambda path: object(),
+    }
+    for missing, library in libraries.items():
+        cli._openblas_threads.cache_clear()
+        _blas._thread_shutdown.cache_clear()
+        monkeypatch.setattr(ctypes, "CDLL", library)
+        out = tmp_path / f"missing-{missing}.csv"
+        assert main(["spectrum", cfg, "--relax", "--out", str(out)]) == 0
+        assert (cli._openblas_threads() is None) == (missing == "all")
+        assert _blas._thread_shutdown() is None
+        assert out.read_bytes() == (tmp_path / "found.csv").read_bytes()

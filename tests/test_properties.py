@@ -120,3 +120,56 @@ def test_cli_exit_code_is_documented_and_outputs_are_finite(log_d, n_cells, topo
             if code == 0:
                 for path in outputs:
                     assert not _NON_FINITE.search(path.read_text()), (argv, path.name)
+
+
+# every subcommand, with and without --relax where it has the flag
+_FUZZED_RUNS = (
+    *(["bands", "--q-points", "8", "--out", "bands.csv", *relax] for relax in ([], ["--relax"])),
+    *(["spectrum", "--out", "spectrum.csv", *relax] for relax in ([], ["--relax"])),
+    *(["local", "--out-g", "g.csv", "--out-j", "j.csv", *relax] for relax in ([], ["--relax"])),
+    *(["coupling", "--q-points", "8", "--out", "coupling.csv", *relax]
+      for relax in ([], ["--relax"])),
+    *(["export", "--t", "1", "--U", "4", "--gcp", "0.5", "--q-points", "8", "--out", "model.json",
+       *relax] for relax in ([], ["--relax"])),
+    ["sweep", "--param", "theta", "--from", "0", "--to", "1.5", "--steps", "3", "--q-points", "8",
+     "--out", "sweep.csv"],
+    ["check"],
+)
+small_chains = st.builds(
+    ChainSpec,
+    n_cells=st.integers(min_value=1, max_value=4),
+    d=st.floats(min_value=0.3, max_value=30.0),
+    delta=st.floats(min_value=-3.0, max_value=3.0),
+    theta=st.floats(min_value=0.0, max_value=math.pi),
+    phi=st.floats(min_value=-math.pi, max_value=math.pi),
+    topology=topologies,
+    nu=st.tuples(*[st.floats(min_value=0.2, max_value=5.0)] * 3),
+    v_dd=st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(small_chains)
+def test_every_subcommand_on_small_chains_exits_as_documented(spec):
+    """Each subcommand, relaxed or not, on a chain of 1-4 cells computes or
+    fails with exit 1, 2 or 3 and a one-line message, never a traceback; a
+    run that exits 0 writes no nan or inf."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp, "chain.json")
+        cfg.write_text(json.dumps(spec_to_dict(spec)))
+        for command, *options in _FUZZED_RUNS:
+            paths = [Path(tmp, a) for a in options if a.endswith((".csv", ".json"))]
+            argv = [command, str(cfg), *(str(Path(tmp, a)) if a.endswith((".csv", ".json")) else a
+                                         for a in options)]
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code = main(argv)
+            assert code in (0, 1, 2, 3), argv
+            assert "Traceback" not in err.getvalue(), argv
+            if code == 0:
+                for path in paths:
+                    assert not _NON_FINITE.search(path.read_text()), (argv, path.name)
+            elif code != 3:  # a failed check reports on stdout
+                assert err.getvalue().count("\n") == 1, (argv, err.getvalue())

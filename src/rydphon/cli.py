@@ -437,7 +437,8 @@ def _serial_blas(spec: ChainSpec):
     if blas is None:
         yield
         return
-    caller = blas[0]()
+    get, _ = blas
+    caller = get()
     _blas.set_threads(1)
     try:
         yield

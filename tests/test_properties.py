@@ -148,7 +148,7 @@ small_chains = st.builds(
 )
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(small_chains)
 def test_every_subcommand_on_small_chains_exits_as_documented(spec):
     """Each subcommand, relaxed or not, on a chain of 1-4 cells computes or

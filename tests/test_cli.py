@@ -5,6 +5,7 @@ import resource
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -689,25 +690,32 @@ def test_a_command_joins_the_idle_workers_and_keeps_the_thread_count(tmp_path,
         pytest.skip("numpy's OpenBLAS exports no blas_thread_shutdown_")
     get, _ = blas_at_two_threads
 
-    def threads():
-        return set(os.listdir("/proc/self/task"))
+    def threads(expected):
+        """This process's thread ids once they are ``expected``, or after 2 s:
+        a joined thread leaves /proc/self/task a moment after its join returns."""
+        deadline = time.monotonic() + 2.0
+        while True:
+            tids = set(os.listdir("/proc/self/task"))
+            if expected(tids) or time.monotonic() > deadline:
+                return tids
+            time.sleep(0.01)
 
     matrix = np.random.default_rng(0).standard_normal((300, 300))
     np.linalg.eigh(matrix + matrix.T)  # the pool is live
-    live = threads()
+    live = threads(lambda tids: True)
     rydphon.finite_spectrum(paper_spec(n_cells=17), relax=True)
-    assert threads() == live
+    assert threads(lambda tids: tids == live) == live
     assert main(["spectrum", write_config(tmp_path, "c17.json", n_cells=17), "--relax",
                  "--out", str(tmp_path / "s17.csv")]) == 0
-    parked = threads()
-    assert len(live - parked) == 1 and parked < live
+    parked = threads(lambda tids: len(live - tids) == 1)
+    assert len(live - parked) == 1 and parked < live, (live, parked)
     assert get() == 2
     assert main(["spectrum", write_config(tmp_path, "c16.json", n_cells=16), "--relax",
                  "--out", str(tmp_path / "s16.csv")]) == 0
-    assert threads() == parked
+    assert threads(lambda tids: tids == parked) == parked
     assert get() == 2
     np.linalg.eigh(matrix + matrix.T)
-    assert len(threads() - parked) == 1
+    assert len(threads(lambda tids: len(tids - parked) == 1) - parked) == 1
 
 
 @pytest.fixture

@@ -6,11 +6,12 @@ argument error, 3 check failure.  All outputs are deterministic
 functions of the configuration file and the arguments; the sweep
 evaluates its points one after another and writes them in sweep order.
 A command on a chain of at most 16 cells runs numpy's BLAS on one thread
-(``_serial_blas``), as its matrices are too small for a second one to pay.
-On a longer chain, each threaded factorization of its 3N x 3N Hessian is
-followed by a join of the idle OpenBLAS workers (``_blas.parking``), so
-that they do not spin through the single-threaded work after it; the next
-threaded call starts them again, at the same count.
+(``_SERIAL_BLAS_CELLS``), as its matrices are too small for a second one to
+pay.  On a longer chain, each threaded factorization of its 3N x 3N Hessian
+is followed by a join of the idle OpenBLAS workers, so that they do not
+spin through the single-threaded work after it; the next threaded call
+starts them again, at the same count.  ``_blas.command`` does both, for the
+length of one command.
 
 Every CSV goes through one writer, ``_write_table``: each subcommand
 hands it named columns of one shape, the header is their names, and the
@@ -25,7 +26,6 @@ are spelled by the one formatter that also writes the model file,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import sys
@@ -33,7 +33,6 @@ import sys
 import numpy as np
 
 from . import __version__, _blas
-from ._blas import _openblas_threads
 from .atom_phonon import coupled_bands, coupling_grid
 from .bands import DEFAULT_Q_POINTS, band_diagnostics, band_structure, finite_spectrum
 from .errors import ConfigError, RydphonError
@@ -422,30 +421,6 @@ def _check_outputs(args):
         replaced.add(target)
 
 
-@contextlib.contextmanager
-def _serial_blas(spec: ChainSpec):
-    """Run the block on one BLAS thread if the chain has at most
-    ``_SERIAL_BLAS_CELLS`` cells, and give the caller's count back after it.
-
-    Its matrices are at most 96 x 96 then, which a second thread slows down:
-    a 42 x 42 ``eigh`` takes about 16 ms on two OpenBLAS threads and 0.14 ms
-    on one.  Only the command line sets the count, as it belongs to the
-    whole process.  Setting it starts the workers of a parked pool, and
-    ``_blas.set_threads`` joins them again.
-    """
-    blas = _openblas_threads() if spec.n_cells <= _SERIAL_BLAS_CELLS else None
-    if blas is None:
-        yield
-        return
-    get, _ = blas
-    caller = get()
-    _blas.set_threads(1)
-    try:
-        yield
-    finally:
-        _blas.set_threads(caller)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -453,7 +428,7 @@ def main(argv=None) -> int:
         _check_outputs(args)
         with _open_output(None):  # the tables and summary lines that go to stdout
             spec = load_chain_spec(args.config)
-            with _blas.parking(), _serial_blas(spec):
+            with _blas.command(serial=spec.n_cells <= _SERIAL_BLAS_CELLS):
                 return args.func(spec, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -18,14 +18,12 @@ dominant rows, by a margin above rounding), which costs O(n^2) and holds at
 every Newton iterate of the relaxable chains; then a Cholesky factorization,
 used only as a test; and when that fails, H is shifted by 1.1 |lambda_min|
 + 1e-8 toward steepest descent.  The first two give the same step.  On
-the command line, each 3N x 3N step of a finite chain is followed by a
-join of the idle BLAS workers (``_blas.parked``); the bulk's 6 x 6 steps
-never wake one.
+the command line, each step is followed by a join of the idle BLAS workers
+(``_blas.parked``): a finite chain's 3N x 3N step runs on every thread.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +72,7 @@ def relax_finite(spec: ChainSpec) -> Configuration:
     try:
         x, residual, hess, n_iter, history = _newton_descent(
             centers.reshape(-1).copy(), evaluate, _step_cap(spec), _TOL, "finite",
-            lambda x, residual: Configuration(x.reshape(-1, 3), residual), park=True)
+            lambda x, residual: Configuration(x.reshape(-1, 3), residual))
     except CoincidentAtomsError as exc:
         raise _no_equilibrium("", spec, exc) from exc
     return Configuration(x.reshape(-1, 3), residual, relaxed=True, n_iterations=n_iter,
@@ -87,7 +85,7 @@ def _no_equilibrium(what: str, spec: ChainSpec, exc: CoincidentAtomsError):
                                 f"{exc}; see the README's relaxed-existence edges")
 
 
-def _newton_descent(x, evaluate, cap, tol, what, iterate, park=False):
+def _newton_descent(x, evaluate, cap, tol, what, iterate):
     """Capped Newton descent with Armijo backtracking on the flat vector x.
 
     evaluate(x) returns (energy, derivatives); derivatives() gives the
@@ -95,8 +93,6 @@ def _newton_descent(x, evaluate, cap, tol, what, iterate, park=False):
     a non-finite gradient raises NonFiniteMatrixError.  Returns (x, residual,
     Hessian at x, iterations, energy history) once ||gradient||_inf < tol, in at
     most _MAX_ITER iterations; a failure's last_iterate is iterate(x, residual).
-    park=True joins the idle BLAS workers after each ``_newton_direction``
-    (``_blas.parked``), for Hessians large enough to run on several threads.
 
     A trial point is accepted when e_new <= energy + 1e-4 alpha slope
     + 8 eps |energy|.  Near convergence the Armijo decrease lies far below
@@ -121,8 +117,7 @@ def _newton_descent(x, evaluate, cap, tol, what, iterate, park=False):
                 residual=residual,
                 last_iterate=iterate(x, residual),
             )
-        with parked() if park else contextlib.nullcontext():
-            step = _newton_direction(hess, grad)
+        step = _newton_direction(hess, grad)
         biggest = float(np.abs(step).max())
         if biggest > cap:
             step = step * (cap / biggest)
@@ -154,19 +149,21 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     that certificate fails by ``np.linalg.cholesky``, whose factor is not
     used.  A certified matrix is one whose Cholesky factorization succeeds,
     so both proofs give the same step.  Otherwise (including a NaN entry)
-    hess is shifted by 1.1 |lambda_min| + 1e-8 before the solve.  A
-    finite chain's descent joins the idle BLAS workers after each call
-    (``_newton_descent``'s park): its solve and Cholesky test run on every
-    thread, the line search after them on one.
+    hess is shifted by 1.1 |lambda_min| + 1e-8 before the solve.  The idle
+    BLAS workers are joined after it (``_blas.parked``): a finite chain's
+    solve and Cholesky test run on every thread, the line search after them
+    on one.  The bulk's 6 x 6 solve wakes no worker; the join after it finds
+    the pool joined already, or ends the spin of an earlier call.
     """
-    try:
-        if not _certified_positive_definite(hess):
-            np.linalg.cholesky(hess)
-        return np.linalg.solve(hess, -grad)
-    except np.linalg.LinAlgError:
-        min_eig = float(np.linalg.eigvalsh(hess).min())
-        shift = 1.1 * abs(min_eig) + 1e-8
-        return np.linalg.solve(hess + shift * np.eye(hess.shape[0]), -grad)
+    with parked():
+        try:
+            if not _certified_positive_definite(hess):
+                np.linalg.cholesky(hess)
+            return np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(hess).min())
+            shift = 1.1 * abs(min_eig) + 1e-8
+            return np.linalg.solve(hess + shift * np.eye(hess.shape[0]), -grad)
 
 
 def _certified_positive_definite(hess: np.ndarray) -> bool:

@@ -597,7 +597,7 @@ def test_extreme_spacing_exits_one_without_output(tmp_path, monkeypatch, capsys,
 @pytest.fixture
 def blas_at_two_threads():
     """numpy's OpenBLAS (get, set) at two threads, and the count it had back after."""
-    blas = cli._openblas_threads()
+    blas = _blas._openblas_threads()
     if blas is None:
         pytest.skip("numpy does not bundle OpenBLAS")
     get, set_ = blas
@@ -651,7 +651,8 @@ def test_parked_workers_keep_the_bytes_of_live_ones_above_16_cells(tmp_path):
     """``spectrum --relax`` and ``local --relax`` of 17- and 40-cell chains in
     child processes started with two OpenBLAS threads, as shipped (the idle
     workers joined after each factorization) and with ``blas_thread_shutdown_``
-    missing (never joined), write the same bytes."""
+    missing (never joined), write the same bytes; each command joins more
+    than once."""
     env = dict(child_env(), OPENBLAS_NUM_THREADS="2")
     argvs = []
     for n_cells in (17, 40):
@@ -661,20 +662,26 @@ def test_parked_workers_keep_the_bytes_of_live_ones_above_16_cells(tmp_path):
                   ["local", cfg, "--relax", "--out-g", f"g{n_cells}.csv",
                    "--out-j", f"j{n_cells}.csv"]]
     names = [a for argv in argvs for a in argv if a.endswith(".csv")]
-    outputs, parked = {}, {}
+    outputs, parked, joins = {}, {}, {}
     for shutdown in ("found", "missing"):
-        run = ("import json, sys; from rydphon import _blas, cli; "
-               + ("_blas._thread_shutdown = lambda: None; " if shutdown == "missing" else "")
-               + "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
-               "print(json.dumps([codes, _blas._parked]))")
+        run = ("import json, sys; from rydphon import _blas, cli\n"
+               + ("_blas._thread_shutdown = lambda: None\n" if shutdown == "missing" else "")
+               + "park, parks = _blas._park, []\n"
+               "_blas._park = lambda: (parks.append(1), park())\n"
+               "codes, joins = [], []\n"
+               "for argv in json.loads(sys.argv[1]):\n"
+               "    codes.append(cli.main(argv)); joins.append(len(parks)); parks.clear()\n"
+               "print(json.dumps([codes, joins, _blas._parked]))")
         workdir = tmp_path / shutdown
         workdir.mkdir()
         done = subprocess.run([sys.executable, "-c", run, json.dumps(argvs)], env=env,
                               cwd=workdir, check=True, capture_output=True, text=True)
-        codes, parked[shutdown] = json.loads(done.stdout.splitlines()[-1])
+        codes, joins[shutdown], parked[shutdown] = json.loads(done.stdout.splitlines()[-1])
         assert codes == [0] * len(argvs)
         outputs[shutdown] = [(workdir / name).read_bytes() for name in names]
     assert parked == {"found": True, "missing": False}
+    # every Newton step of the relaxation is joined, and the spectrum's eigh
+    assert min(joins["found"]) >= 2, joins
     assert outputs["found"] == outputs["missing"]
 
 
@@ -720,10 +727,10 @@ def test_a_command_joins_the_idle_workers_and_keeps_the_thread_count(tmp_path,
 
 @pytest.fixture
 def fresh_blas_lookup():
-    cli._openblas_threads.cache_clear()
+    _blas._openblas_threads.cache_clear()
     _blas._thread_shutdown.cache_clear()
     yield
-    cli._openblas_threads.cache_clear()
+    _blas._openblas_threads.cache_clear()
     _blas._thread_shutdown.cache_clear()
 
 
@@ -741,21 +748,26 @@ class _Without:
 
 def test_a_failed_blas_lookup_leaves_main_and_its_bytes_as_they_were(tmp_path, monkeypatch,
                                                                      fresh_blas_lookup):
-    """A 17-cell relaxed spectrum writes the same bytes with every OpenBLAS
-    symbol found, with the shutdown symbol missing, and with none found."""
-    cfg = write_config(tmp_path, n_cells=17)
-    assert main(["spectrum", cfg, "--relax", "--out", str(tmp_path / "found.csv")]) == 0
+    """A 7-cell spectrum, run on one thread, and a 17-cell relaxed spectrum,
+    whose factorizations are joined, write the same bytes with every
+    OpenBLAS symbol found, with the shutdown symbol missing, and with none
+    found."""
+    argvs = {"7": ["spectrum", write_config(tmp_path, "c7.json")],
+             "17": ["spectrum", write_config(tmp_path, "c17.json", n_cells=17), "--relax"]}
+    for cells, argv in argvs.items():
+        assert main([*argv, "--out", str(tmp_path / f"found-{cells}.csv")]) == 0
     real = ctypes.CDLL
     libraries = {  # numpy's library without the one symbol, and a library without any
         "blas_thread_shutdown_": lambda path: _Without(real(path), "blas_thread_shutdown_"),
         "all": lambda path: object(),
     }
     for missing, library in libraries.items():
-        cli._openblas_threads.cache_clear()
+        _blas._openblas_threads.cache_clear()
         _blas._thread_shutdown.cache_clear()
         monkeypatch.setattr(ctypes, "CDLL", library)
-        out = tmp_path / f"missing-{missing}.csv"
-        assert main(["spectrum", cfg, "--relax", "--out", str(out)]) == 0
-        assert (cli._openblas_threads() is None) == (missing == "all")
+        for cells, argv in argvs.items():
+            out = tmp_path / f"missing-{missing}-{cells}.csv"
+            assert main([*argv, "--out", str(out)]) == 0
+            assert out.read_bytes() == (tmp_path / f"found-{cells}.csv").read_bytes()
+        assert (_blas._openblas_threads() is None) == (missing == "all")
         assert _blas._thread_shutdown() is None
-        assert out.read_bytes() == (tmp_path / "found.csv").read_bytes()

@@ -345,8 +345,8 @@ def test_relax_finite_builds_one_pair_geometry_per_evaluated_point(monkeypatch):
     points, geometries, index_sets, hessians = [], [], [], []
     descent = equilibrium._newton_descent
 
-    def counted_descent(x, evaluate, *args, **kwargs):
-        return descent(x, _counting(points, evaluate), *args, **kwargs)
+    def counted_descent(x, evaluate, *args):
+        return descent(x, _counting(points, evaluate), *args)
 
     monkeypatch.setattr(equilibrium, "_newton_descent", counted_descent)
     monkeypatch.setattr(potential, "_pair_geometry", _counting(geometries, potential._pair_geometry))

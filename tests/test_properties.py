@@ -95,31 +95,41 @@ def test_bands_agree_where_two_grids_share_a_q_point(q_points, d, topology):
 _NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 
 
-@PROPERTY
-@given(st.floats(min_value=-300.0, max_value=300.0), st.integers(min_value=2, max_value=6),
-       topologies)
-def test_cli_exit_code_is_documented_and_outputs_are_finite(log_d, n_cells, topology):
-    """Any spacing from 1e-300 to 1e300 computes or fails with exit 1, 2 or 3;
-    a run that exits 0 writes no nan or inf."""
-    spec = ChainSpec(n_cells=n_cells, d=10.0**log_d, topology=topology)
-    runs = (["local", "--out-g", "g.csv", "--out-j", "j.csv"],
-            ["bands", "--q-points", "8", "--out", "bands.csv"],
-            ["spectrum", "--out", "spectrum.csv"])
+def _run_and_check(spec, runs):
+    """Run each of ``runs`` on ``spec`` through ``main``: it computes or fails
+    with exit 1, 2 or 3, never with a traceback, and a failure other than a
+    failed check (which reports on stdout) writes one stderr line; a run
+    that exits 0 writes no nan or inf."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp, "chain.json")
         cfg.write_text(json.dumps(spec_to_dict(spec)))
         for command, *options in runs:
-            outputs = [Path(tmp, a) for a in options if a.endswith(".csv")]
-            argv = [command, str(cfg), *(str(Path(tmp, a)) if a.endswith(".csv") else a
+            paths = [Path(tmp, a) for a in options if a.endswith((".csv", ".json"))]
+            argv = [command, str(cfg), *(str(Path(tmp, a)) if a.endswith((".csv", ".json")) else a
                                          for a in options)]
+            err = io.StringIO()
             with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+                    contextlib.redirect_stderr(err):
                 warnings.simplefilter("ignore", RuntimeWarning)
                 code = main(argv)
             assert code in (0, 1, 2, 3), argv
+            assert "Traceback" not in err.getvalue(), argv
             if code == 0:
-                for path in outputs:
+                for path in paths:
                     assert not _NON_FINITE.search(path.read_text()), (argv, path.name)
+            elif code != 3:
+                assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+
+
+@PROPERTY
+@given(st.floats(min_value=-300.0, max_value=300.0), st.integers(min_value=2, max_value=6),
+       topologies)
+def test_cli_exit_code_is_documented_and_outputs_are_finite(log_d, n_cells, topology):
+    """Any spacing from 1e-300 to 1e300 computes or fails as documented."""
+    _run_and_check(ChainSpec(n_cells=n_cells, d=10.0**log_d, topology=topology),
+                   (["local", "--out-g", "g.csv", "--out-j", "j.csv"],
+                    ["bands", "--q-points", "8", "--out", "bands.csv"],
+                    ["spectrum", "--out", "spectrum.csv"]))
 
 
 # every subcommand, with and without --relax where it has the flag
@@ -152,24 +162,5 @@ small_chains = st.builds(
 @given(small_chains)
 def test_every_subcommand_on_small_chains_exits_as_documented(spec):
     """Each subcommand, relaxed or not, on a chain of 1-4 cells computes or
-    fails with exit 1, 2 or 3 and a one-line message, never a traceback; a
-    run that exits 0 writes no nan or inf."""
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp, "chain.json")
-        cfg.write_text(json.dumps(spec_to_dict(spec)))
-        for command, *options in _FUZZED_RUNS:
-            paths = [Path(tmp, a) for a in options if a.endswith((".csv", ".json"))]
-            argv = [command, str(cfg), *(str(Path(tmp, a)) if a.endswith((".csv", ".json")) else a
-                                         for a in options)]
-            err = io.StringIO()
-            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(err):
-                warnings.simplefilter("ignore", RuntimeWarning)
-                code = main(argv)
-            assert code in (0, 1, 2, 3), argv
-            assert "Traceback" not in err.getvalue(), argv
-            if code == 0:
-                for path in paths:
-                    assert not _NON_FINITE.search(path.read_text()), (argv, path.name)
-            elif code != 3:  # a failed check reports on stdout
-                assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+    fails as documented."""
+    _run_and_check(spec, _FUZZED_RUNS)

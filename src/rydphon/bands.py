@@ -7,7 +7,10 @@ relaxed chain exists: at the default spec of configs/default.json, the
 7- and 50-cell chains for d >= 1.884485 and 1.884487, and the relaxed bulk
 above its fold near d = 1.8834879, though relax_bulk's cutoff-drift check
 passes only from d = 1.883584 on and the relaxed bands are stable only
-from d = 1.883739 on; see the README).
+from d = 1.883739 on; see the README).  Only ``_bulk_blocks`` chooses the
+bulk, and only ``equilibrium._finite_hessian`` a finite chain's matrix.  A
+band structure carries the real-space blocks it was summed from, and
+band_diagnostics reads them.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from itertools import permutations
 import numpy as np
 
 from ._blas import parked
-from .equilibrium import _CUTOFF_CELLS, _bulk_partners, relax_bulk, relax_finite
+from .equilibrium import _CUTOFF_CELLS, _bulk_partners, _finite_hessian, relax_bulk
 from .errors import ImaginaryFrequencyError
-from .geometry import ChainSpec, base_offsets, trap_centers
-from .potential import _pair_hessians, _require_finite, _separations, hessian
+from .geometry import ChainSpec, base_offsets
+from .potential import _pair_hessians, _require_finite, _separations
 
 DEFAULT_Q_POINTS = 256
 DEGENERACY_TOL = 1e-10
@@ -78,8 +81,15 @@ def _real_space_blocks(spec: ChainSpec, deltas: np.ndarray):
     return cells, blocks.reshape(len(cells), 6, 6)
 
 
-def _dynamical_matrices(qs, spec: ChainSpec, deltas) -> np.ndarray:
-    """(Nq, 6, 6) Bloch matrices D(q) = sum_n exp(i q n a) blocks[n].
+def _bulk_blocks(spec: ChainSpec, relax: bool) -> np.ndarray:
+    """The bulk's (2C+1, 6, 6) ``_real_space_blocks``, at the relaxed delta
+    (``relax_bulk``) or the trap centers: the only code that chooses the bulk."""
+    return _real_space_blocks(spec, relax_bulk(spec).deltas if relax else np.zeros((2, 3)))[1]
+
+
+def _dynamical_matrices(qs, a: float, blocks: np.ndarray) -> np.ndarray:
+    """(Nq, 6, 6) Bloch matrices D(q) = sum_n exp(i q n a) blocks[n] of the
+    (2C+1, 6, 6) real-space blocks of cells n = -C, ..., C.
 
     Only the lower triangle (``np.tril_indices(6)``) is summed, and only its
     entries that are non-zero in some cell; the others stay +0.  The phases
@@ -98,16 +108,15 @@ def _dynamical_matrices(qs, spec: ChainSpec, deltas) -> np.ndarray:
     sign cannot change a sum that starts from +0; and ``eigh`` and
     ``eigvalsh`` read the lower triangle only.
     """
-    cells, blocks = _real_space_blocks(spec, deltas)
     qs = np.asarray(qs, dtype=float)
     nq = len(qs)
     rows, cols = _LOWER
     terms = blocks[:, rows, cols]                      # (cells, 21)
     used = (terms != 0.0).any(axis=0)
     rows, cols, terms = rows[used], cols[used], terms[:, used]
-    c = _CUTOFF_CELLS                                  # cells[c] is cell 0
-    arg = cells[c:, None] * qs[None, :] * spec.a       # (C + 1, Nq): q n a for n >= 0
-    phases = np.empty((len(cells), 2 * nq))            # (cells, cos | sin), row per cell
+    c = len(blocks) // 2                               # blocks[c] is cell 0
+    arg = np.arange(c + 1)[:, None] * qs[None, :] * a  # (C + 1, Nq): q n a for n >= 0
+    phases = np.empty((len(blocks), 2 * nq))           # (cells, cos | sin), row per cell
     np.cos(arg, out=phases[c:, :nq])
     np.sin(arg, out=phases[c:, nq:])
     phases[:c, :nq] = phases[:c:-1, :nq]               # cells -C..-1 mirror cells C..1
@@ -186,6 +195,11 @@ class BandStructure:
     omega[k, j] is band j (ascending) at q_grid[k]; xi[k, :, j] is the
     matching 6-component polarization vector in the order
     (A,x),(A,y),(A,z),(B,x),(B,y),(B,z).
+
+    blocks holds the (2C+1, 6, 6) real-space blocks of cells -C..C
+    (C = ``_CUTOFF_CELLS``) that D(q) was summed from, which band_diagnostics
+    reads.  None means not known (bands read by ``deserialize`` or built by
+    hand); band_diagnostics then builds them again from spec and relaxed.
     """
 
     q_grid: np.ndarray
@@ -193,6 +207,7 @@ class BandStructure:
     xi: np.ndarray          # (Nq, 6, 6) complex
     spec: ChainSpec
     relaxed: bool
+    blocks: np.ndarray | None = None  # (2C+1, 6, 6) real, or None
 
     @property
     def n_bands(self) -> int:
@@ -212,11 +227,6 @@ def _freqs_from_lambda(lam: np.ndarray, context: str) -> np.ndarray:
     return np.sqrt(np.clip(lam, 0.0, None))
 
 
-def _bulk_deltas(spec: ChainSpec, relax: bool) -> np.ndarray:
-    """(2, 3) offsets of the A and B atoms from their trap centers: the relaxed bulk's, or 0."""
-    return relax_bulk(spec).deltas if relax else np.zeros((2, 3))
-
-
 def band_structure(
     spec: ChainSpec,
     q_points: int = DEFAULT_Q_POINTS,
@@ -225,7 +235,8 @@ def band_structure(
     """Diagonalize the Bloch matrix on the standard grid, with deterministic
     eigenvectors (degenerate groups re-spanned, then every column gauge-fixed).
 
-    relax=True relaxes the bulk first.
+    relax=True relaxes the bulk first.  The result keeps the real-space
+    blocks that D(q) was summed from.
 
     Stability is also checked at q = 0, where band 1 softens first, when the
     grid holds no exact 0.0 (every odd grid, and some even ones): D(0) is
@@ -236,14 +247,16 @@ def band_structure(
     qs = q_grid(spec, q_points)
     nq = len(qs)
     at_zero = [] if (qs == 0.0).any() else [0.0]
-    dyn = _dynamical_matrices(np.concatenate([qs, at_zero]), spec, _bulk_deltas(spec, relax))
+    blocks = _bulk_blocks(spec, relax)
+    dyn = _dynamical_matrices(np.concatenate([qs, at_zero]), spec.a, blocks)
     lam, vec = np.linalg.eigh(dyn[:nq])
     omega = _freqs_from_lambda(lam / spec.mass, "band_structure")
     if at_zero:
         _freqs_from_lambda(np.linalg.eigvalsh(dyn[nq:]) / spec.mass, "band_structure (q = 0)")
     for k in np.flatnonzero((np.diff(lam, axis=1) <= DEGENERACY_TOL).any(axis=1)):
         vec[k] = _respan_degenerate(lam[k], vec[k])
-    return BandStructure(q_grid=qs, omega=omega, xi=_gauge_fix(vec), spec=spec, relaxed=relax)
+    return BandStructure(q_grid=qs, omega=omega, xi=_gauge_fix(vec), spec=spec, relaxed=relax,
+                         blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +331,7 @@ def detect_edge_modes(
     two overlapping envelopes, or equally far from two) goes to the lower
     band.
     """
-    n_atoms = modes.shape[0] // 3
-    weights = atom_weights(modes, n_atoms)
+    weights = atom_weights(modes, modes.shape[0] // 3)
     ipr = (weights**2).sum(axis=0)
     decay = _end_decay(weights)
     om = frequencies[:, None]
@@ -355,13 +367,12 @@ def finite_spectrum(
     On the command line, the idle BLAS workers of the 3N x 3N ``eigh`` are
     joined after it (``_blas.parked``).
     """
-    ham = relax_finite(spec).hessian if relax else hessian(trap_centers(spec), spec)
+    ham = _finite_hessian(spec, relax)
     ham /= spec.mass  # in place: the configuration that carried ham is gone
     with parked():  # the band structure and edge detection after it are single-threaded
         lam, vec = np.linalg.eigh(ham)
     freqs = _freqs_from_lambda(lam, "finite_spectrum")
-    bands = band_structure(spec, q_points=q_points, relax=relax)
-    edges = bands.envelopes()
+    edges = band_structure(spec, q_points=q_points, relax=relax).envelopes()
     report = detect_edge_modes(vec, freqs, edges)
     return FiniteSpectrum(
         frequencies=freqs, modes=vec, report=report,
@@ -488,6 +499,7 @@ def band_diagnostics(bands: BandStructure) -> BandDiagnostics:
     stencil is too local for nearly flat bands).  Gauss-Legendre at 64 fixed
     nodes takes it from the bands' own bulk, whatever their q grid; within
     1e3 * eps * max omega of 0 it is rounding noise, and the band gets 0.
+    The nodes are summed from ``bands.blocks``, built again where None.
     """
     pos = track_bands(bands)
     first, second = np.triu_indices(6, k=1)
@@ -496,8 +508,8 @@ def band_diagnostics(bands: BandStructure) -> BandDiagnostics:
     events = [(int(first[p]) + 1, int(second[p]) + 1, float(bands.q_grid[k + 1]))
               for k, p in zip(ks, pairs)]
     spec = bands.spec
-    dyn = _dynamical_matrices(_NODES * (_CONCAVITY_WINDOW * np.pi / spec.a), spec,
-                              _bulk_deltas(spec, bands.relaxed))
+    blocks = _bulk_blocks(spec, bands.relaxed) if bands.blocks is None else bands.blocks
+    dyn = _dynamical_matrices(_NODES * (_CONCAVITY_WINDOW * np.pi / spec.a), spec.a, blocks)
     at_nodes = _freqs_from_lambda(np.linalg.eigvalsh(dyn) / spec.mass, "band_diagnostics")
     moment = (_WEIGHTS * (1.5 * _NODES**2 - 0.5)) @ at_nodes   # P2(x) = (3x^2 - 1) / 2
     flat = np.abs(moment) <= _CONCAVITY_FLAT_TOL * np.finfo(float).eps * at_nodes.max()

@@ -7,7 +7,9 @@ Newton steps from the analytic gradient and Hessian, each accepted once
 an Armijo backtracking search has lowered the energy, up to 8 ulps of it.
 ``relax_finite`` builds one pair geometry per point for the energy, gradient
 and Hessian kernels of ``potential``, fills one Hessian buffer, and returns
-it with the positions as the relaxed pipelines' harmonic matrix (built once).
+it with the positions as the relaxed pipelines' harmonic matrix (built once);
+``_finite_hessian`` is the one place that picks a finite chain's harmonic
+matrix, relaxed or at the trap centers.
 The bulk's sums, like the bands' Bloch blocks, run over one partner list
 (``_bulk_partners``) and read ``potential``'s pair kernels.
 
@@ -41,6 +43,7 @@ from .potential import (
     _pairs,
     _require_finite,
     _separations,
+    hessian,
 )
 
 _TOL = 1e-10       # relax_finite stops once ||dV/dR||_inf < _TOL
@@ -77,6 +80,12 @@ def relax_finite(spec: ChainSpec) -> Configuration:
         raise _no_equilibrium("", spec, exc) from exc
     return Configuration(x.reshape(-1, 3), residual, relaxed=True, n_iterations=n_iter,
                          energy_history=tuple(history), hessian=hess)
+
+
+def _finite_hessian(spec: ChainSpec, relax: bool) -> np.ndarray:
+    """The finite chain's (3N, 3N) harmonic matrix, a fresh array: the Hessian
+    that ``relax_finite`` carries (not built again), or the trap centers'."""
+    return relax_finite(spec).hessian if relax else hessian(trap_centers(spec), spec)
 
 
 def _no_equilibrium(what: str, spec: ChainSpec, exc: CoincidentAtomsError):

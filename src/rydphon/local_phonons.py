@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DynamicalInstabilityError, NonPositiveDiagonalError
-from .geometry import ChainSpec, trap_centers
-from .equilibrium import relax_finite
-from .potential import hessian
+from .geometry import ChainSpec
+from .equilibrium import _finite_hessian
 
 _IMAG_TOL = 1e-8
 _EXCLUDE_OUTER_CELLS = 1  # aggregate_J skips pairs that touch this many cells at either end
@@ -25,9 +24,7 @@ _SLAB_ENTRIES = 1 << 16   # entries of g per slab that coupling_matrices fills a
 
 def local_frequencies(harmonic: np.ndarray, mass: float) -> np.ndarray:
     """(N, 3) on-site frequencies Omega_{n,i} from the matrix diagonal."""
-    n3 = harmonic.shape[0]
-    n_atoms = n3 // 3
-    diag = np.diagonal(harmonic).reshape(n_atoms, 3)
+    diag = np.diagonal(harmonic).reshape(-1, 3)
     if np.any(diag <= 0.0):
         bad = np.argwhere(diag <= 0.0)[0]
         raise NonPositiveDiagonalError(
@@ -107,7 +104,7 @@ def local_phonon_model(spec: ChainSpec, relax: bool = False) -> LocalPhononModel
     relax=True takes the Hessian that ``relax_finite`` carries with the
     relaxed positions.
     """
-    harmonic = relax_finite(spec).hessian if relax else hessian(trap_centers(spec), spec)
+    harmonic = _finite_hessian(spec, relax)
     omega = local_frequencies(harmonic, spec.mass)
     g, h = coupling_matrices(harmonic, omega, spec.mass)
     return LocalPhononModel(

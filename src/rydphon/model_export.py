@@ -344,8 +344,9 @@ def _at(doc: dict, path: tuple):
 def validate_document(doc: dict) -> dict:
     """Check every key that deserialize reads; return its numbers as arrays by path.
 
-    conventions.cutoff_cells must be the integer 32 (``_CUTOFF_CELLS``), the
-    cutoff at which band_diagnostics sums the bands' bulk again; t, U and g_cp
+    conventions.cutoff_cells must be the integer 32 (``_CUTOFF_CELLS``): bands
+    read from a file carry no real-space blocks, so band_diagnostics sums
+    their bulk again, at that cutoff; t, U and g_cp
     must be finite numbers; the arrays must hold finite numbers and agree on
     the q count, 6 bands and 6 components.
     """

@@ -8,6 +8,14 @@ import rydphon
 from rydphon import ChainSpec, Topology, relax_bulk
 
 
+def counting(calls, function):
+    """``function``, appending the positional arguments of each call to ``calls``."""
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+    return counted
+
+
 def paper_spec(d=2.0, topology=Topology.TRIVIAL, n_cells=7, **kwargs):
     """Chain with the parameter set used throughout the figures:
     14 atoms, delta = 1, a = 2d, magic dipole angle, phi = 0."""

@@ -50,7 +50,7 @@ def test_q_grid_open_left_closed_right():
 
 def _bloch(qs, spec, deltas=np.zeros((2, 3))):
     """Bloch matrices at the quasimomenta qs; at the trap centers unless deltas are given."""
-    return _dynamical_matrices(qs, spec, deltas)
+    return _dynamical_matrices(qs, spec.a, _real_space_blocks(spec, deltas)[1])
 
 
 def test_dynamical_matrix_flat_without_dipoles():
@@ -146,7 +146,7 @@ def test_dynamical_matrices_match_the_einsum_bit_for_bit(topology, phi, case):
              [-0.0, 0.0, -edge, edge, np.nextafter(edge, 0.0), -np.nextafter(edge, np.inf)]]
     rows, cols = np.tril_indices(6)
     for deltas in (np.zeros((2, 3)), relax_bulk(spec).deltas):
-        new = np.concatenate([_dynamical_matrices(qs, spec, deltas) for qs in grids])
+        new = np.concatenate([_bloch(qs, spec, deltas) for qs in grids])
         old = np.concatenate([_dynamical_matrices_by_einsum(qs, spec, deltas) for qs in grids])
         assert new[:, rows, cols].tobytes() == old[:, rows, cols].tobytes()
         for got, want in zip(np.linalg.eigh(new), np.linalg.eigh(old)):
@@ -257,7 +257,7 @@ def test_odd_grid_is_unstable_below_the_q0_edge_and_keeps_its_bands_above(topolo
     bands = band_structure(spec, q_points=17)
     assert not (bands.q_grid == 0.0).any()
     # the grid alone, as band_structure computed it before the q = 0 column
-    lam, vec = np.linalg.eigh(_dynamical_matrices(q_grid(spec, 17), spec, np.zeros((2, 3))))
+    lam, vec = np.linalg.eigh(_bloch(q_grid(spec, 17), spec))
     for k in np.flatnonzero((np.diff(lam, axis=1) <= bands_module.DEGENERACY_TOL).any(axis=1)):
         vec[k] = _respan_degenerate(lam[k], vec[k])
     assert bands.omega.tobytes() == np.sqrt(np.clip(lam / spec.mass, 0.0, None)).tobytes()
@@ -363,14 +363,15 @@ def test_bands_without_dipoles_are_flat(nu):
 def test_relaxed_concavity_is_that_of_a_fresh_relaxed_bulk(monkeypatch):
     # at this spec relaxing the bulk turns band 1 from convex to concave
     spec = paper_spec(d=2.3, delta=1.4)
-    bands = band_structure(spec, q_points=8, relax=True)
     edge = 0.5 * np.pi / spec.a
     x, w = np.polynomial.legendre.leggauss(64)
-    dyn = _dynamical_matrices(edge * x, spec, relax_bulk(spec).deltas)
+    dyn = _bloch(edge * x, spec, relax_bulk(spec).deltas)
     moment = (w * (1.5 * x**2 - 0.5)) @ np.sqrt(np.linalg.eigvalsh(dyn) / spec.mass)
     calls = []
     monkeypatch.setattr(bands_module, "relax_bulk",
                         lambda *args, **kwargs: calls.append(1) or relax_bulk(*args, **kwargs))
+    # the bands carry the blocks of their relaxed bulk, so band_diagnostics does not relax again
+    bands = band_structure(spec, q_points=8, relax=True)
     relaxed = band_diagnostics(bands).concavity
     assert len(calls) == 1
     assert relaxed.tolist() == np.sign(moment).tolist()
@@ -665,7 +666,7 @@ def test_best_permutations_break_ties_in_itertools_order():
 def test_resolved_eigenvectors_match_per_column_loop(kwargs, q_points):
     spec = paper_spec(**kwargs)
     qs = q_grid(spec, q_points)
-    dyn = _dynamical_matrices(qs, spec, np.zeros((2, 3)))
+    dyn = _bloch(qs, spec)
     lam, vec = np.linalg.eigh(dyn)
     xi = band_structure(spec, q_points=q_points).xi
     assert xi.tobytes() == _resolve_by_loop(lam, vec).tobytes()

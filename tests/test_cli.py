@@ -16,7 +16,7 @@ import rydphon
 from rydphon import _blas, cli
 from rydphon.cli import main
 
-from conftest import child_env, paper_spec
+from conftest import child_env, counting, paper_spec
 from rydphon.geometry import spec_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,6 +48,28 @@ def test_bands_reports_crossing_at_d15(tmp_path, capsys):
     assert main(["bands", cfg, "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "(5,6)" in text
+
+
+@pytest.mark.parametrize("argv,relaxations,block_sums", [
+    (["bands", "--relax"], 1, 1),
+    (["sweep", "--from", "1.5", "--to", "2.5", "--steps", "21"], 0, 21),
+])
+def test_each_band_structure_relaxes_and_sums_its_bulk_once(tmp_path, monkeypatch, capsys,
+                                                             argv, relaxations, block_sums):
+    """band_diagnostics reads the real-space blocks that its band structure
+    was summed from, so it neither relaxes the bulk nor sums it again."""
+    calls = {"relax_bulk": [], "_real_space_blocks": []}
+    for name, counted in calls.items():
+        original = getattr(rydphon.bands, name)
+        for module_name, module in list(sys.modules.items()):
+            if (module_name == "rydphon" or module_name.startswith("rydphon.")) \
+                    and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(counted, original))
+    command, *options = argv
+    assert main([command, write_config(tmp_path), *options,
+                 "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(calls["relax_bulk"]) == relaxations
+    assert len(calls["_real_space_blocks"]) == block_sums
 
 
 def test_malformed_config_key_names_offender(tmp_path, capsys):

@@ -4,7 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from rydphon import ConfigError, SchemaMismatchError, assemble, deserialize, serialize
+from rydphon import (
+    ConfigError,
+    SchemaMismatchError,
+    assemble,
+    band_diagnostics,
+    deserialize,
+    serialize,
+)
 from rydphon.atom_phonon import physical_coupling
 from rydphon.model_export import (
     CONVENTIONS,
@@ -118,6 +125,27 @@ def test_relaxed_model_records_trap_rho_z(tmp_path):
     serialize(model, path)
     conventions = json.loads(path.read_text())["provenance"]["conventions"]
     assert conventions["rho_z_source"] == "trap"
+
+
+@pytest.mark.parametrize("relax", [False, True])
+@pytest.mark.parametrize("spec_kwargs", [{"d": 2.5}, {"d": 2.3, "delta": 1.4}])
+def test_diagnostics_of_read_bands_match_the_written_ones_byte_for_byte(tmp_path, spec_kwargs,
+                                                                        relax):
+    """Bands read from a model file carry no real-space blocks, so
+    band_diagnostics builds them again from the spec and the geometry; the
+    result is that of the assembled bands the file was written from.  At
+    d = 2.5 the bands cross; at d = 2.3, delta = 1.4 relaxing the bulk
+    turns band 1 concave, so a rebuild at the wrong geometry shows."""
+    spec = paper_spec(**spec_kwargs)
+    model = assemble(spec, t=1.0, U=4.0, g_cp=0.5, q_points=32, relax=relax)
+    path = tmp_path / "model.json"
+    serialize(model, path)
+    read = deserialize(path).bands
+    assert read.blocks is None and model.bands.blocks is not None and read.relaxed == relax
+    got, want = band_diagnostics(read), band_diagnostics(model.bands)
+    assert got.crossings == want.crossings
+    assert got.concavity.tobytes() == want.concavity.tobytes()
+    assert got.bandwidth.tobytes() == want.bandwidth.tobytes()
 
 
 def test_serialize_maps_unopenable_path_to_config_error(model, tmp_path):

@@ -8,7 +8,7 @@ import rydphon
 from rydphon import ChainSpec, Topology, relax_bulk
 
 
-def counting(calls, function):
+def _counting(calls, function):
     """``function``, appending the positional arguments of each call to ``calls``."""
     def counted(*args):
         calls.append(args)

@@ -16,7 +16,7 @@ import rydphon
 from rydphon import _blas, cli
 from rydphon.cli import main
 
-from conftest import child_env, counting, paper_spec
+from conftest import _counting, child_env, paper_spec
 from rydphon.geometry import spec_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,7 +64,7 @@ def test_each_band_structure_relaxes_and_sums_its_bulk_once(tmp_path, monkeypatc
         for module_name, module in list(sys.modules.items()):
             if (module_name == "rydphon" or module_name.startswith("rydphon.")) \
                     and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting(counted, original))
+                monkeypatch.setattr(module, name, _counting(counted, original))
     command, *options = argv
     assert main([command, write_config(tmp_path), *options,
                  "--out", str(tmp_path / "out.csv")]) == 0

@@ -37,7 +37,7 @@ from rydphon.equilibrium import (
 from rydphon.geometry import base_offsets, load_chain_spec
 from rydphon.potential import _pair_gradients, _pair_hessians
 
-from conftest import BULK_KERNEL_CASES, bulk_kernel_inputs, counting, paper_spec
+from conftest import BULK_KERNEL_CASES, _counting, bulk_kernel_inputs, paper_spec
 
 
 def test_no_dipoles_relaxes_to_trap_centers():
@@ -322,7 +322,7 @@ def test_relaxed_pipelines_build_one_hessian_per_newton_point(monkeypatch, topol
     for name, module in list(sys.modules.items()):
         if (name == "rydphon" or name.startswith("rydphon.")) \
                 and getattr(module, "_hessian", None) is kernel:
-            monkeypatch.setattr(module, "_hessian", counting(calls, kernel))
+            monkeypatch.setattr(module, "_hessian", _counting(calls, kernel))
     finite_spectrum(spec, relax=True)
     assert len(calls) == expected
     calls.clear()
@@ -339,12 +339,12 @@ def test_relax_finite_builds_one_pair_geometry_per_evaluated_point(monkeypatch):
     descent = equilibrium._newton_descent
 
     def counted_descent(x, evaluate, *args):
-        return descent(x, counting(points, evaluate), *args)
+        return descent(x, _counting(points, evaluate), *args)
 
     monkeypatch.setattr(equilibrium, "_newton_descent", counted_descent)
-    monkeypatch.setattr(potential, "_pair_geometry", counting(geometries, potential._pair_geometry))
-    monkeypatch.setattr(np, "triu_indices", counting(index_sets, np.triu_indices))
-    monkeypatch.setattr(equilibrium, "_hessian", counting(hessians, equilibrium._hessian))
+    monkeypatch.setattr(potential, "_pair_geometry", _counting(geometries, potential._pair_geometry))
+    monkeypatch.setattr(np, "triu_indices", _counting(index_sets, np.triu_indices))
+    monkeypatch.setattr(equilibrium, "_hessian", _counting(hessians, equilibrium._hessian))
     relaxed = relax_finite(paper_spec(n_cells=8, topology=Topology.TOPOLOGICAL))
     assert len(geometries) == len(points) == relaxed.n_iterations + 1
     assert len(index_sets) == 1

@@ -55,18 +55,17 @@ def q_grid(spec: ChainSpec, q_points: int) -> np.ndarray:
     return np.linspace(-edge, edge, q_points + 1)[1:]
 
 
-def _real_space_blocks(spec: ChainSpec, deltas: np.ndarray):
+def _real_space_blocks(spec: ChainSpec, deltas: np.ndarray) -> np.ndarray:
     """Second-derivative blocks between cell 0 and cells n in [-C, C],
     C = ``_CUTOFF_CELLS``.
 
-    Returns (cells, blocks) with blocks[n_idx] the 6x6 real matrix
+    Returns the (2C+1, 6, 6) blocks, blocks[n + C] the real matrix
     d2V/du_{0,alpha,i} du_{n,beta,j}; the n=0 diagonal gets the trap term
     plus the sums of ``potential``'s pair Hessians over alpha's
     ``equilibrium._bulk_partners`` of base A, then of base B.
     """
     offs = base_offsets(spec) + deltas
-    cells = np.arange(-_CUTOFF_CELLS, _CUTOFF_CELLS + 1)
-    blocks = np.zeros((len(cells), 2, 3, 2, 3))
+    blocks = np.zeros((2 * _CUTOFF_CELLS + 1, 2, 3, 2, 3))
     for a, (n, b) in enumerate(_bulk_partners(_CUTOFF_CELLS)):
         rvec = n[:, None] * spec.a * np.array([0.0, 0.0, 1.0]) + (offs[b] - offs[a])
         rnorm, s = _separations(rvec, spec.m_hat, lambda k: (
@@ -78,13 +77,13 @@ def _real_space_blocks(spec: ChainSpec, deltas: np.ndarray):
         self_block += np.diag(spec.mass * spec.nu_array**2)
         for beta in range(2):
             self_block += hp[b == beta].sum(axis=0)
-    return cells, blocks.reshape(len(cells), 6, 6)
+    return blocks.reshape(-1, 6, 6)
 
 
 def _bulk_blocks(spec: ChainSpec, relax: bool) -> np.ndarray:
     """The bulk's (2C+1, 6, 6) ``_real_space_blocks``, at the relaxed delta
     (``relax_bulk``) or the trap centers: the only code that chooses the bulk."""
-    return _real_space_blocks(spec, relax_bulk(spec).deltas if relax else np.zeros((2, 3)))[1]
+    return _real_space_blocks(spec, relax_bulk(spec).deltas if relax else np.zeros((2, 3)))
 
 
 def _dynamical_matrices(qs, a: float, blocks: np.ndarray) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Local-oscillator form of the quadratic phonon Hamiltonian.
 
 The harmonic matrix is recast as per-site oscillators with frequencies
-Omega_{n,i} coupled by the matrices g (anomalous + normal off-diagonal)
-and h, with J(|n-m|) summing the nine directional couplings of each atom
-pair.  A paraunitary (Bogoliubov) diagonalization of (h, g) provides the
-module's correctness oracle: it must reproduce the normal-mode spectrum.
+Omega_{n,i} coupled by the matrix g (anomalous + normal off-diagonal),
+with J(|n-m|) summing the nine directional couplings of each atom pair.
+The normal part h = diag(Omega) + g holds nothing beyond Omega and g, so
+the model stores those two and builds h where it is read.  A paraunitary
+(Bogoliubov) diagonalization of (h, g) provides the module's correctness
+oracle: it must reproduce the normal-mode spectrum.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ def local_frequencies(harmonic: np.ndarray, mass: float) -> np.ndarray:
 
 
 def coupling_matrices(harmonic: np.ndarray, omega_local: np.ndarray, mass: float):
-    """g and h as (N, 3, N, 3) tables.
+    """g as an (N, 3, N, 3) table (h = diag(Omega) + g is
+    ``LocalPhononModel.h``).
 
-    g_{nm}^{ij} = (1 - delta_nm delta_ij) D_{nm}^{ij} / (2 M sqrt(Om_ni Om_mj)),
-    h = diag(Omega) + g.
+    g_{nm}^{ij} = (1 - delta_nm delta_ij) D_{nm}^{ij} / (2 M sqrt(Om_ni Om_mj)).
 
     g is filled in slabs of atoms n of about ``_SLAB_ENTRIES`` entries (a
     chain of up to 85 atoms is one slab), so the denominator's temporaries
@@ -56,9 +58,7 @@ def coupling_matrices(harmonic: np.ndarray, omega_local: np.ndarray, mass: float
                   out=g[k0:k1])
     n, i = np.indices((n_atoms, 3))
     g[n, i, n, i] = 0.0
-    h = g.copy()
-    h[n, i, n, i] = omega_local
-    return g, h
+    return g
 
 
 def aggregate_J(g: np.ndarray) -> dict:
@@ -92,24 +92,30 @@ def aggregate_J(g: np.ndarray) -> dict:
 class LocalPhononModel:
     omega_local: np.ndarray   # (N, 3)
     g: np.ndarray             # (N, 3, N, 3)
-    h: np.ndarray             # (N, 3, N, 3)
     J: dict                   # (separation, bond_class) -> mean coupling
     spec: ChainSpec
     relaxed: bool
 
+    @property
+    def h(self) -> np.ndarray:
+        """(N, 3, N, 3) h = diag(Omega) + g, a new array on each read: a copy
+        of g with the diagonal set, so its zeros keep g's signs."""
+        n, i = np.indices(self.omega_local.shape)
+        h = self.g.copy()
+        h[n, i, n, i] = self.omega_local
+        return h
+
 
 def local_phonon_model(spec: ChainSpec, relax: bool = False) -> LocalPhononModel:
-    """Full pipeline: harmonic matrix -> local frequencies, g, h, J.
+    """Full pipeline: harmonic matrix -> local frequencies, g, J.
 
     relax=True takes the Hessian that ``relax_finite`` carries with the
     relaxed positions.
     """
     harmonic = _finite_hessian(spec, relax)
     omega = local_frequencies(harmonic, spec.mass)
-    g, h = coupling_matrices(harmonic, omega, spec.mass)
-    return LocalPhononModel(
-        omega_local=omega, g=g, h=h, J=aggregate_J(g), spec=spec, relaxed=relax,
-    )
+    g = coupling_matrices(harmonic, omega, spec.mass)
+    return LocalPhononModel(omega_local=omega, g=g, J=aggregate_J(g), spec=spec, relaxed=relax)
 
 
 def bogoliubov_frequencies(h: np.ndarray, g: np.ndarray) -> np.ndarray:

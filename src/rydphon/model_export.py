@@ -44,7 +44,8 @@ CONVENTIONS = {
     "modulus": "abs-z-components-in-coupling",
 }
 
-_REQUIRED_CONVENTIONS = (*CONVENTIONS, "cutoff_cells")
+_REQUIRED_CONVENTIONS = (*CONVENTIONS, "cutoff_cells", "geometry")
+_GEOMETRIES = ("relaxed", "trap-centers")  # the values of conventions.geometry
 # the numbers that deserialize reads and their shapes; "Nq" is the q count
 _NUMERIC_SHAPES = {
     ("hubbard", "t"): (),
@@ -344,9 +345,10 @@ def _at(doc: dict, path: tuple):
 def validate_document(doc: dict) -> dict:
     """Check every key that deserialize reads; return its numbers as arrays by path.
 
-    conventions.cutoff_cells must be the integer 32 (``_CUTOFF_CELLS``): bands
-    read from a file carry no real-space blocks, so band_diagnostics sums
-    their bulk again, at that cutoff; t, U and g_cp
+    conventions.cutoff_cells must be the integer 32 (``_CUTOFF_CELLS``) and
+    conventions.geometry "relaxed" or "trap-centers": bands read from a file
+    carry no real-space blocks, so band_diagnostics sums their bulk again, at
+    that cutoff and geometry; t, U and g_cp
     must be finite numbers; the arrays must hold finite numbers and agree on
     the q count, 6 bands and 6 components.
     """
@@ -369,6 +371,9 @@ def validate_document(doc: dict) -> dict:
     if type(conv["cutoff_cells"]) is not int or conv["cutoff_cells"] != _CUTOFF_CELLS:
         raise SchemaMismatchError(f"provenance.conventions.cutoff_cells must be {_CUTOFF_CELLS},"
                                   f" got {conv['cutoff_cells']!r}")
+    if conv["geometry"] not in _GEOMETRIES:
+        raise SchemaMismatchError("provenance.conventions.geometry must be 'relaxed' or"
+                                  f" 'trap-centers', got {conv['geometry']!r}")
     arrays = {}
     for path, shape in _NUMERIC_SHAPES.items():
         name = ".".join(path)
@@ -404,7 +409,7 @@ def deserialize(path) -> ExtendedHHModel:
         arrays["phonons", "xi_re", "values"] + 1j * arrays["phonons", "xi_im", "values"]
     ).transpose(2, 1, 0)
     bands = BandStructure(q_grid=q, omega=omega, xi=xi, spec=spec,
-                          relaxed=conv.get("geometry") == "relaxed")
+                          relaxed=conv["geometry"] == "relaxed")
     m = (arrays["couplings", "m_re", "values"] + 1j * arrays["couplings", "m_im", "values"]).T
     grid = CouplingGrid(q_grid=q, m_complex=m, m_abs=np.abs(m),
                         rho0_values=arrays["couplings", "rho0"], omega=omega, spec=spec)

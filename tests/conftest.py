@@ -22,6 +22,20 @@ def paper_spec(d=2.0, topology=Topology.TRIVIAL, n_cells=7, **kwargs):
     return ChainSpec(n_cells=n_cells, d=d, topology=topology, **kwargs)
 
 
+def _whole_table_g_h(harmonic, omega_local, mass):
+    """g and h = diag(Omega) + g over the whole table at once: the bytes of
+    ``coupling_matrices``' g and of ``LocalPhononModel.h``."""
+    n_atoms = omega_local.shape[0]
+    blocks = harmonic.reshape(n_atoms, 3, n_atoms, 3)
+    denom = 2.0 * mass * np.sqrt(omega_local[:, :, None, None] * omega_local[None, None, :, :])
+    g = blocks / denom
+    n, i = np.indices((n_atoms, 3))
+    g[n, i, n, i] = 0.0
+    h = g.copy()
+    h[n, i, n, i] = omega_local
+    return g, h
+
+
 # the bulks that the bulk-sum kernels are compared on: (d, nu)
 BULK_KERNEL_CASES = {"isotropic": (2.0, (1.0, 1.0, 1.0)), "anisotropic-nu": (2.5, (1.0, 1.3, 0.7))}
 

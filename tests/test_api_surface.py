@@ -1,12 +1,14 @@
 """The public surface of ``rydphon``: its exported names, the options of its
-exported functions and command-line subcommands, and the fixed numerical
-settings behind them.
+exported functions and command-line subcommands, the stored fields of its
+exported dataclasses, and the fixed numerical settings behind them.
 
-A new exported name, defaulted parameter or command-line flag fails here
-until it is added below on purpose; so does a changed fixed setting.
+A new exported name, defaulted parameter, dataclass field or command-line
+flag fails here until it is added below on purpose; so does a changed
+default or fixed setting.
 """
 
 import argparse
+import dataclasses
 import inspect
 
 import pytest
@@ -37,6 +39,31 @@ OPTIONS = {
     "fd_hessian": {"step": 1e-4},
     "finite_spectrum": {"relax": False, "q_points": 256},
     "local_phonon_model": {"relax": False},
+}
+
+# the stored fields of every exported dataclass, in order, with their defaults
+# (a default factory's value) or "required"
+FIELDS = {
+    "BandDiagnostics": {"crossings": "required", "concavity": "required",
+                        "bandwidth": "required"},
+    "BandStructure": {"q_grid": "required", "omega": "required", "xi": "required",
+                      "spec": "required", "relaxed": "required", "blocks": None},
+    "BulkEquilibrium": {"delta_a": "required", "delta_b": "required",
+                        "residual_inf_norm": "required", "n_iterations": "required"},
+    "ChainSpec": {"n_cells": "required", "d": "required", "delta": 1.0, "a": None,
+                  "theta": rydphon.magic_angle(), "phi": 0.0, "topology": rydphon.Topology.TRIVIAL,
+                  "nu": (1.0, 1.0, 1.0), "mass": 1.0, "v_dd": 1.0 / 3.0},
+    "Configuration": {"positions": "required", "residual_inf_norm": None, "relaxed": False,
+                      "n_iterations": 0, "energy_history": (), "hessian": None},
+    "CouplingGrid": {"q_grid": "required", "m_complex": "required", "m_abs": "required",
+                     "rho0_values": "required", "omega": "required", "spec": "required"},
+    "ExtendedHHModel": {"spec": "required", "t": "required", "U": "required",
+                        "g_cp": "required", "bands": "required", "couplings": "required",
+                        "conventions": "required"},
+    "FiniteSpectrum": {"frequencies": "required", "modes": "required", "report": "required",
+                       "band_edges": "required", "spec": "required", "relaxed": "required"},
+    "LocalPhononModel": {"omega_local": "required", "g": "required", "J": "required",
+                         "spec": "required", "relaxed": "required"},
 }
 
 # the option strings of every subcommand, without -h and --help
@@ -88,6 +115,21 @@ def test_options_of_exported_functions():
                 options[name] = defaults
     assert options == OPTIONS
     assert sum(map(len, OPTIONS.values())) == 9
+
+
+def _default(field):
+    if field.default is not dataclasses.MISSING:
+        return field.default
+    if field.default_factory is not dataclasses.MISSING:
+        return field.default_factory()
+    return "required"
+
+
+def test_fields_of_exported_dataclasses():
+    fields = {name: [(field.name, _default(field)) for field in dataclasses.fields(value)]
+              for name, value in _exported().items()
+              if inspect.isclass(value) and dataclasses.is_dataclass(value)}
+    assert fields == {name: list(pinned.items()) for name, pinned in FIELDS.items()}
 
 
 def test_flags_of_cli_subcommands():

@@ -50,7 +50,7 @@ def test_q_grid_open_left_closed_right():
 
 def _bloch(qs, spec, deltas=np.zeros((2, 3))):
     """Bloch matrices at the quasimomenta qs; at the trap centers unless deltas are given."""
-    return _dynamical_matrices(qs, spec.a, _real_space_blocks(spec, deltas)[1])
+    return _dynamical_matrices(qs, spec.a, _real_space_blocks(spec, deltas))
 
 
 def test_dynamical_matrix_flat_without_dipoles():
@@ -105,7 +105,7 @@ def _real_space_blocks_by_base_pair(spec, deltas):
             hp = _pair_hessians(rvec, rnorm, s, m_hat, spec.v_dd)
             blocks[keep, 3 * a:3 * a + 3, 3 * b:3 * b + 3] -= hp
             blocks[zero_idx, 3 * a:3 * a + 3, 3 * a:3 * a + 3] += hp.sum(axis=0)
-    return cells, blocks
+    return blocks
 
 
 @pytest.mark.parametrize("case", BULK_KERNEL_CASES)
@@ -114,16 +114,15 @@ def _real_space_blocks_by_base_pair(spec, deltas):
 def test_real_space_blocks_match_the_base_pair_loop_bit_for_bit(topology, phi, case):
     """Compared as bytes, so a -0.0 where the loop has +0.0 fails too."""
     for spec, where, deltas in bulk_kernel_inputs(case, topology, phi):
-        cells, blocks = _real_space_blocks(spec, deltas)
-        old_cells, old_blocks = _real_space_blocks_by_base_pair(spec, deltas)
-        assert cells.tobytes() == old_cells.tobytes()
-        assert blocks.tobytes() == old_blocks.tobytes(), (spec.v_dd, where)
+        old = _real_space_blocks_by_base_pair(spec, deltas)
+        assert _real_space_blocks(spec, deltas).tobytes() == old.tobytes(), (spec.v_dd, where)
 
 
 def _dynamical_matrices_by_einsum(qs, spec, deltas):
     """The _dynamical_matrices that summed all 36 entries with one complex
     einsum over exp(1j * q n a) (its finiteness check left out)."""
-    cells, blocks = _real_space_blocks(spec, deltas)
+    blocks = _real_space_blocks(spec, deltas)
+    cells = np.arange(-_CUTOFF_CELLS, _CUTOFF_CELLS + 1)
     phases = np.exp(1j * np.asarray(qs)[:, None] * cells[None, :] * spec.a)
     return np.einsum("qn,nij->qij", phases, blocks)
 

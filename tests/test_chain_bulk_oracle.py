@@ -61,7 +61,7 @@ def test_middle_of_an_80_cell_chain_is_the_bulk(topology, phi, theta):
         spec = paper_spec(n_cells=N_CELLS, d=d, topology=topology, phi=phi, theta=theta, nu=nu,
                           v_dd=v_dd)
         chain = hessian(trap_centers(spec), spec).reshape(N_CELLS, 6, N_CELLS, 6)
-        _, bulk = _real_space_blocks(spec, np.zeros((2, 3)))
+        bulk = _real_space_blocks(spec, np.zeros((2, 3)))
         for n in NEAR:
             assert np.array_equal(chain[MIDDLE, :, MIDDLE + n], bulk[_CUTOFF_CELLS + n]), (spec, n)
         # the self blocks differ by the far cells' pairs (0.3-1.2e-9 relative

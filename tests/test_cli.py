@@ -230,8 +230,8 @@ def test_local_outputs(tmp_path):
 
 
 def test_local_holds_no_full_size_temporary_beyond_its_matrices(tmp_path):
-    """The harmonic matrix, g and h are three (3N)^2 float arrays; a full
-    (n, m, i, j) index grid or a copy of g would add at least one more.
+    """The harmonic matrix and g are two (3N)^2 float arrays; a full
+    (n, m, i, j) index grid, h or a copy of g would add at least one more.
     numpy reports its array buffers to tracemalloc."""
     spec = paper_spec(n_cells=100)
     cfg = write_config(tmp_path, n_cells=100)
@@ -242,7 +242,7 @@ def test_local_holds_no_full_size_temporary_beyond_its_matrices(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * (3 * spec.n_atoms) ** 2 * 8
+    assert peak <= 3 * (3 * spec.n_atoms) ** 2 * 8
 
 
 def test_coupling_output(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from rydphon import (
     ChainSpec,
     DynamicalInstabilityError,
+    LocalPhononModel,
     NonPositiveDiagonalError,
     Topology,
     aggregate_J,
@@ -17,7 +18,7 @@ from rydphon import (
 )
 from rydphon import local_phonons
 
-from conftest import paper_spec
+from conftest import _whole_table_g_h, paper_spec
 
 
 def test_local_frequencies_trap_only():
@@ -126,17 +127,22 @@ def test_bogoliubov_matches_normal_modes(topology, n_cells):
     assert np.abs(bogo - reference).max() < 1e-8
 
 
+def _bogoliubov_of(harmonic, spec):
+    """Bogoliubov frequencies of the harmonic matrix's g and ``LocalPhononModel.h``,
+    the latter checked byte for byte against the whole-table h."""
+    omega = local_frequencies(harmonic, spec.mass)
+    g = coupling_matrices(harmonic, omega, spec.mass)
+    h = LocalPhononModel(omega_local=omega, g=g, J={}, spec=spec, relaxed=False).h
+    assert h.tobytes() == _whole_table_g_h(harmonic, omega, spec.mass)[1].tobytes()
+    return bogoliubov_frequencies(h, g)
+
+
 def test_bogoliubov_scales_linearly_with_frequency_rescale():
     spec = paper_spec(n_cells=3)
     cfg = trap_centers(spec)
     harmonic = hessian(cfg, spec)
     scale = 2.0
-    om1 = local_frequencies(harmonic, spec.mass)
-    g1, h1 = coupling_matrices(harmonic, om1, spec.mass)
-    om2 = local_frequencies(scale**2 * harmonic, spec.mass)
-    g2, h2 = coupling_matrices(scale**2 * harmonic, om2, spec.mass)
-    w1 = bogoliubov_frequencies(h1, g1)
-    w2 = bogoliubov_frequencies(h2, g2)
+    w1, w2 = (_bogoliubov_of(k, spec) for k in (harmonic, scale**2 * harmonic))
     assert np.allclose(w2, scale * w1, rtol=1e-12)
 
 
@@ -164,19 +170,6 @@ def test_aggregate_j_matches_pairwise_loop(exclude, monkeypatch):
     assert aggregate_J(g) == expected
 
 
-def _whole_table_g_h(harmonic, omega_local, mass):
-    """g and h as coupling_matrices computed them over the whole table at once."""
-    n_atoms = omega_local.shape[0]
-    blocks = harmonic.reshape(n_atoms, 3, n_atoms, 3)
-    denom = 2.0 * mass * np.sqrt(omega_local[:, :, None, None] * omega_local[None, None, :, :])
-    g = blocks / denom
-    n, i = np.indices((n_atoms, 3))
-    g[n, i, n, i] = 0.0
-    h = g.copy()
-    h[n, i, n, i] = omega_local
-    return g, h
-
-
 # (n_cells, entries per slab, slabs): the default slab size holds a 7-cell chain
 # in one slab and a 50-cell one in two (72 + 28 atoms); 504 entries are 4 atoms
 # of a 7-cell chain, so 4 + 4 + 4 + 2
@@ -195,9 +188,10 @@ def test_coupling_matrices_in_slabs_keep_the_whole_table_bytes(monkeypatch, n_ce
     divides = []
     divide = np.divide
     monkeypatch.setattr(np, "divide", lambda *a, **k: divides.append(1) or divide(*a, **k))
-    g, h = coupling_matrices(harmonic, omega, spec.mass)
+    g = coupling_matrices(harmonic, omega, spec.mass)
     monkeypatch.undo()
     assert len(divides) == slabs
+    h = LocalPhononModel(omega_local=omega, g=g, J={}, spec=spec, relaxed=relax).h
     g_ref, h_ref = _whole_table_g_h(harmonic, omega, spec.mass)
     assert g.tobytes() == g_ref.tobytes()
     assert h.tobytes() == h_ref.tobytes()

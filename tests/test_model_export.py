@@ -77,7 +77,7 @@ def test_schema_version_mismatch_rejected(model, tmp_path):
         deserialize(path)
 
 
-@pytest.mark.parametrize("key", ["gauge", "pair_sum", "modulus", "cutoff_cells"])
+@pytest.mark.parametrize("key", ["gauge", "pair_sum", "modulus", "cutoff_cells", "geometry"])
 def test_missing_convention_rejected(model, key):
     doc = model_document(model)
     del doc["provenance"]["conventions"][key]
@@ -113,7 +113,7 @@ def test_missing_key_rejected(model, tmp_path, path):
 
 def test_provenance_lists_all_conventions(model):
     conv = model_document(model)["provenance"]["conventions"]
-    for key in ("gauge", "pair_sum", "modulus", "cutoff_cells"):
+    for key in ("gauge", "pair_sum", "modulus", "cutoff_cells", "geometry"):
         assert key in conv
 
 
@@ -258,6 +258,10 @@ _MALFORMED_HEADERS = {
                     "cutoff_cells must be 32, got True"),
     "cutoff-other": (("provenance", "conventions", "cutoff_cells"), 8,
                      "cutoff_cells must be 32, got 8"),
+    "geometry-capitalised": (("provenance", "conventions", "geometry"), "Relaxed",
+                             "geometry must be 'relaxed' or 'trap-centers', got 'Relaxed'"),
+    "geometry-number": (("provenance", "conventions", "geometry"), 7,
+                        "geometry must be 'relaxed' or 'trap-centers', got 7"),
 }
 
 
